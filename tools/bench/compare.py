@@ -26,6 +26,11 @@ Two kinds of numbers, two policies:
       mode. Optional (--adapt-baseline/--adapt-candidate). Same subset rule
       as scale: --smoke runs the single-server prefix of the same point set.
 
+  virtual-time (BENCH_paper.json)  the --json-out documents of the paper's
+      figure benches (fig4_make .. fig8_ch1d), keyed by bench. Optional
+      (--paper-baseline/--paper-candidate). Compared EXACTLY, both ways: a
+      mismatch names the path of each differing, missing or extra value.
+
 Exit status: 0 clean, 1 any regression/mismatch. A structurally broken
 input — a baseline or candidate document missing a key the comparison needs
 (e.g. a baseline committed from an older schema) — exits 2 instead, naming
@@ -170,6 +175,35 @@ def compare_adapt(baseline, candidate, base_path, cand_path):
     return failures
 
 
+def diff_paths(base, cand, path):
+    """(path, baseline, candidate) for every value at which two JSON
+    documents differ, depth first; paths read like fig4_make.setups[1].wan_s."""
+    if isinstance(base, dict) and isinstance(cand, dict):
+        out = []
+        for key in sorted(set(base) | set(cand)):
+            out += diff_paths(base.get(key), cand.get(key), f"{path}.{key}")
+        return out
+    if isinstance(base, list) and isinstance(cand, list) and len(base) == len(cand):
+        out = []
+        for i, (b, c) in enumerate(zip(base, cand)):
+            out += diff_paths(b, c, f"{path}[{i}]")
+        return out
+    return [] if base == cand else [(path, base, cand)]
+
+
+def compare_paper(baseline, candidate, base_path, cand_path):
+    """Exact comparison of the paper figures' virtual-time documents."""
+    base_figs = require(baseline, "figures", base_path)
+    cand_figs = require(candidate, "figures", cand_path)
+    failures = [
+        f"paper.{path}: baseline {b!r} != candidate {c!r}"
+        for path, b, c in diff_paths(base_figs, cand_figs, "figures")
+    ]
+    if not failures:
+        print(f"paper: {len(base_figs)} figure document(s) match baseline exactly")
+    return failures
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--core-baseline", required=True)
@@ -180,6 +214,8 @@ def main():
     ap.add_argument("--scale-candidate")
     ap.add_argument("--adapt-baseline")
     ap.add_argument("--adapt-candidate")
+    ap.add_argument("--paper-baseline")
+    ap.add_argument("--paper-candidate")
     ap.add_argument("--wall-tolerance", type=float, default=0.15)
     ap.add_argument("--wall-mode", choices=["fail", "warn"], default="fail")
     args = ap.parse_args()
@@ -187,6 +223,8 @@ def main():
         ap.error("--scale-baseline and --scale-candidate must be given together")
     if bool(args.adapt_baseline) != bool(args.adapt_candidate):
         ap.error("--adapt-baseline and --adapt-candidate must be given together")
+    if bool(args.paper_baseline) != bool(args.paper_candidate):
+        ap.error("--paper-baseline and --paper-candidate must be given together")
 
     try:
         failures, warnings = compare_core(
@@ -213,6 +251,13 @@ def main():
                 load(args.adapt_candidate),
                 args.adapt_baseline,
                 args.adapt_candidate,
+            )
+        if args.paper_baseline:
+            failures += compare_paper(
+                load(args.paper_baseline),
+                load(args.paper_candidate),
+                args.paper_baseline,
+                args.paper_candidate,
             )
     except MissingKeyError as e:
         print(f"FAIL: {e}")

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Regenerate the tracked perf baselines BENCH_core.json and BENCH_flush.json.
+"""Regenerate the tracked perf baselines (BENCH_*.json at the repo root).
 
-Runs the two micro benchmarks from an existing Release build and distils
-their output into the two committed baseline files:
+Runs the benchmarks from an existing Release build and distils their output
+into the committed baseline files:
 
   BENCH_core.json   wall-clock micro benchmarks (google-benchmark): per-bench
                     real time and throughput. Machine-dependent; compared with
@@ -17,6 +17,9 @@ their output into the two committed baseline files:
                     workload across polling / delegation / adaptive /
                     adaptive-sharded). Deterministic; compared exactly per
                     mode row — a smoke run gates as a subset.
+  BENCH_paper.json  the --json-out documents of the paper's figure benches
+                    (fig4_make .. fig8_ch1d), keyed by bench. Deterministic;
+                    compared exactly.
 
 Usage:
   tools/bench/run_bench.py --build-dir build --out-dir .
@@ -137,6 +140,37 @@ def run_fig_adapt(build_dir, out_path, smoke):
         return json.load(f)
 
 
+# The paper's own figures (§5). Each bench's full --json-out document is
+# recorded verbatim under its name.
+PAPER_BENCHES = [
+    "fig4_make",
+    "fig5_postmark",
+    "fig6_lock",
+    "fig7_nanomos",
+    "fig8_ch1d",
+]
+
+
+def run_paper_figures(build_dir, out_dir):
+    figures = {}
+    for name in PAPER_BENCHES:
+        binary = os.path.join(build_dir, "bench", name)
+        json_path = os.path.join(out_dir, f"{name}.json")
+        cmd = [binary, "--json-out", json_path]
+        print(f"+ {' '.join(cmd)}", file=sys.stderr)
+        subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
+        with open(json_path) as f:
+            figures[name] = json.load(f)
+    return {
+        "schema": "gvfs-bench-paper/1",
+        "note": (
+            "Virtual-time results of the paper's figure benches (--json-out "
+            "of each). Deterministic; compare.py gates them exactly."
+        ),
+        "figures": figures,
+    }
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--build-dir", default="build")
@@ -213,6 +247,12 @@ def main():
     run_fig_adapt(args.build_dir, adapt_path, args.adapt_smoke)
     print(f"wrote {adapt_path}", file=sys.stderr)
 
+    paper_path = os.path.join(args.out_dir, "BENCH_paper.json")
+    with open(paper_path, "w") as f:
+        json.dump(run_paper_figures(args.build_dir, args.out_dir), f, indent=1)
+        f.write("\n")
+    print(f"wrote {paper_path}", file=sys.stderr)
+
     rt = core_rows.get("BM_SimulatedGetattrRoundTrip", {})
     print(
         f"roundtrip: {rt.get('items_per_second', 0) / 1e6:.2f}M sim-RPCs/s; "
@@ -244,6 +284,10 @@ def main():
                 os.path.join(args.gate_baseline_dir, "BENCH_adapt.json"),
                 "--adapt-candidate",
                 adapt_path,
+                "--paper-baseline",
+                os.path.join(args.gate_baseline_dir, "BENCH_paper.json"),
+                "--paper-candidate",
+                paper_path,
                 "--wall-mode",
                 args.wall_mode,
             ]
