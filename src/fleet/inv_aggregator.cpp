@@ -11,8 +11,12 @@ using nfs3::Fh;
 using nfs3::Serialize;
 
 InvAggregator::InvAggregator(sim::Scheduler& sched, rpc::RpcNode& node,
-                             InvAggregatorConfig config)
-    : sched_(sched), node_(node), config_(std::move(config)) {
+                             InvAggregatorConfig config,
+                             const proxy::FaultHooks* faults)
+    : sched_(sched),
+      node_(node),
+      config_(std::move(config)),
+      faults_(faults != nullptr ? *faults : proxy::FaultHooks{}) {
   shard_timestamps_.assign(config_.shards.size(), 0);
   node_.RegisterHandler(proxy::kGvfsProgram, proxy::kGetInv,
                         [this](rpc::CallContext ctx, rpc::Body args) {
@@ -94,10 +98,10 @@ void InvAggregator::Ingest(const Fh& fh, HostId shard_host) {
   const std::size_t last = clients_.size();
   for (auto& [client, state] : clients_) {
     ++idx;
-    if (config_.unsafe_drop_fanout && idx == last) continue;  // seeded loss
+    if (faults_.drop_fanout && idx == last) continue;  // seeded loss
     if (state.overflowed) continue;  // already due a whole-cache invalidation
     if (Fanout(client, state, fh)) ++fanned;
-    if (config_.unsafe_duplicate_fanout && idx == 1 && !state.overflowed) {
+    if (faults_.duplicate_fanout && idx == 1 && !state.overflowed) {
       state.pending.erase(fh);  // defeat coalescing: seeded duplicate
       if (Fanout(client, state, fh)) ++fanned;
     }
@@ -239,36 +243,10 @@ void InvAggregator::AttachMetrics(metrics::Registry& registry,
   registry.AddProbe(prefix + "inv_buffer_entries", [this] {
     return static_cast<double>(inv_entries_);
   });
-  registry.AddProbe(prefix + "inv_entries_peak", [this] {
-    return static_cast<double>(stats_.inv_entries_peak);
-  });
   registry.AddProbe(prefix + "downstream_clients", [this] {
     return static_cast<double>(clients_.size());
   });
-  registry.AddProbe(prefix + "upstream_polls", [this] {
-    return static_cast<double>(stats_.upstream_polls);
-  });
-  registry.AddProbe(prefix + "upstream_forces", [this] {
-    return static_cast<double>(stats_.upstream_forces);
-  });
-  registry.AddProbe(prefix + "getinv_served", [this] {
-    return static_cast<double>(stats_.getinv_served);
-  });
-  registry.AddProbe(prefix + "handles_ingested", [this] {
-    return static_cast<double>(stats_.handles_ingested);
-  });
-  registry.AddProbe(prefix + "handles_fanned_out", [this] {
-    return static_cast<double>(stats_.handles_fanned_out);
-  });
-  registry.AddProbe(prefix + "handles_delivered", [this] {
-    return static_cast<double>(stats_.handles_delivered);
-  });
-  registry.AddProbe(prefix + "force_invalidations", [this] {
-    return static_cast<double>(stats_.force_invalidations);
-  });
-  registry.AddProbe(prefix + "inv_wraps", [this] {
-    return static_cast<double>(stats_.inv_wraps);
-  });
+  metrics::RegisterCounters(registry, prefix, stats_);
 }
 
 }  // namespace gvfs::fleet

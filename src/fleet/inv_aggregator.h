@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "gvfs/fault_hooks.h"
 #include "gvfs/proto.h"
 #include "gvfs/session.h"
 #include "metrics/registry.h"
@@ -64,37 +65,41 @@ struct InvAggregatorConfig {
   /// Per-downstream-client buffer capacity; overflow breaks the client's
   /// incremental stream and escalates to a whole-cache invalidation.
   std::size_t inv_buffer_capacity = 8192;
-
-  /// Fault injection for the checker's negative tests: skip the fan-out to
-  /// one registered client while still claiming a full ingest (a LOST
-  /// invalidation the kAggTier invariant must catch). NEVER enable outside
-  /// tests.
-  bool unsafe_drop_fanout = false;
-
-  /// Fault injection: fan the same handle out twice to one client (a
-  /// DUPLICATED invalidation the kAggTier invariant must catch).
-  bool unsafe_duplicate_fanout = false;
 };
 
+// Counter table (metrics/registry.h): each row is an InvAggregatorStats
+// member and the probe `<prefix><name>` AttachMetrics registers.
+//  - upstream_polls / upstream_forces: GETINV RPCs issued to shards, and the
+//    shard-side force-invalidates they returned;
+//  - getinv_served: downstream GETINV polls served; handles_ingested /
+//    handles_fanned_out / handles_delivered: handles received from shards,
+//    appended to downstream buffers, and served to clients;
+//  - force_invalidations: whole-cache serves downstream; inv_wraps:
+//    downstream buffer overflows; inv_entries_peak: high-water mark of total
+//    buffered entries across downstream clients.
+#define GVFS_INV_AGGREGATOR_STATS(X)    \
+  X(upstream_polls)                     \
+  X(upstream_forces)                    \
+  X(getinv_served)                      \
+  X(handles_ingested)                   \
+  X(handles_fanned_out)                 \
+  X(handles_delivered)                  \
+  X(force_invalidations)                \
+  X(inv_wraps)                          \
+  X(inv_entries_peak)
+
 struct InvAggregatorStats {
-  std::uint64_t upstream_polls = 0;    // GETINV RPCs issued to shards
-  std::uint64_t upstream_forces = 0;   // shard-side force-invalidates seen
-  std::uint64_t getinv_served = 0;     // downstream GETINV polls served
-  std::uint64_t handles_ingested = 0;  // handles received from shards
-  std::uint64_t handles_fanned_out = 0;
-  std::uint64_t handles_delivered = 0;
-  std::uint64_t force_invalidations = 0;  // whole-cache serves downstream
-  std::uint64_t inv_wraps = 0;            // downstream buffer overflows
-  /// High-water mark of total buffered entries across downstream clients.
-  std::uint64_t inv_entries_peak = 0;
+  GVFS_COUNTER_TABLE(InvAggregatorStats, GVFS_INV_AGGREGATOR_STATS)
 };
 
 class InvAggregator {
  public:
   /// `node` is the aggregator's RPC endpoint; it serves GETINV downstream
   /// and polls the configured shards upstream.
+  /// `faults` is null except in fault-injection tests (gvfs/fault_hooks.h).
   InvAggregator(sim::Scheduler& sched, rpc::RpcNode& node,
-                InvAggregatorConfig config);
+                InvAggregatorConfig config,
+                const proxy::FaultHooks* faults = nullptr);
 
   /// Starts the upstream poll loop (bootstrap poll immediately, then one
   /// batched poll per shard per period).
@@ -145,6 +150,7 @@ class InvAggregator {
   sim::Scheduler& sched_;
   rpc::RpcNode& node_;
   InvAggregatorConfig config_;
+  proxy::FaultHooks faults_;  // all off unless a test injected faults
 
   std::map<net::Address, Downstream> clients_;
   /// The aggregator's own logical clock for downstream timestamps; starts

@@ -157,12 +157,7 @@ void ProxyClient::AttachMetrics(metrics::Registry& registry,
         static_cast<double>(stats_.served_locally + stats_.forwarded);
     return total > 0 ? static_cast<double>(stats_.served_locally) / total : 0.0;
   });
-  registry.AddProbe(prefix + "served_locally", [this] {
-    return static_cast<double>(stats_.served_locally);
-  });
-  registry.AddProbe(prefix + "forwarded", [this] {
-    return static_cast<double>(stats_.forwarded);
-  });
+  metrics::RegisterCounters(registry, prefix, stats_);
   registry.AddProbe(prefix + "cache_bytes", [this] {
     return static_cast<double>(cache_.CachedBytes());
   });
@@ -171,23 +166,6 @@ void ProxyClient::AttachMetrics(metrics::Registry& registry,
   });
   registry.AddProbe(prefix + "wb_queue_depth", [this] {
     return static_cast<double>(cache_.TotalDirtyBlocks());
-  });
-  registry.AddProbe(prefix + "polls",
-                    [this] { return static_cast<double>(stats_.polls); });
-  registry.AddProbe(prefix + "invalidations_applied", [this] {
-    return static_cast<double>(stats_.invalidations_applied);
-  });
-  registry.AddProbe(prefix + "force_invalidations", [this] {
-    return static_cast<double>(stats_.force_invalidations);
-  });
-  registry.AddProbe(prefix + "callbacks_received", [this] {
-    return static_cast<double>(stats_.callbacks_received);
-  });
-  registry.AddProbe(prefix + "blocks_flushed", [this] {
-    return static_cast<double>(stats_.blocks_flushed);
-  });
-  registry.AddProbe(prefix + "migrations", [this] {
-    return static_cast<double>(stats_.migrations);
   });
   if (policy_ != nullptr) policy_->AttachMetrics(registry, prefix);
 }

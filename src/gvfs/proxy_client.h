@@ -44,20 +44,26 @@
 
 namespace gvfs::proxy {
 
+// Counter table (metrics/registry.h): each row is a ProxyClientStats member
+// and the probe `<prefix><name>` AttachMetrics registers.
+//  - blocks_prefetched: blocks brought in by sequential read-ahead (served
+//    the next fault); prefetches_discarded: prefetch replies dropped because
+//    the file was invalidated or changed mid-flight;
+//  - migrations: adaptive sessions' MIGRATE handshakes this client completed.
+#define GVFS_PROXY_CLIENT_STATS(X)      \
+  X(served_locally)                     \
+  X(forwarded)                          \
+  X(polls)                              \
+  X(invalidations_applied)              \
+  X(force_invalidations)                \
+  X(callbacks_received)                 \
+  X(blocks_flushed)                     \
+  X(blocks_prefetched)                  \
+  X(prefetches_discarded)               \
+  X(migrations)
+
 struct ProxyClientStats {
-  std::uint64_t served_locally = 0;
-  std::uint64_t forwarded = 0;
-  std::uint64_t polls = 0;
-  std::uint64_t invalidations_applied = 0;
-  std::uint64_t force_invalidations = 0;
-  std::uint64_t callbacks_received = 0;
-  std::uint64_t blocks_flushed = 0;
-  /// Blocks brought in by sequential read-ahead (served the next fault).
-  std::uint64_t blocks_prefetched = 0;
-  /// Prefetch replies discarded (invalidated or changed mid-flight).
-  std::uint64_t prefetches_discarded = 0;
-  /// Adaptive sessions: MIGRATE handshakes completed by this client.
-  std::uint64_t migrations = 0;
+  GVFS_COUNTER_TABLE(ProxyClientStats, GVFS_PROXY_CLIENT_STATS)
 };
 
 class ProxyClient {

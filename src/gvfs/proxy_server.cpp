@@ -11,11 +11,13 @@ using nfs3::Fh;
 using nfs3::Serialize;
 
 ProxyServer::ProxyServer(sim::Scheduler& sched, rpc::RpcNode& node,
-                         net::Address upstream, SessionConfig config)
+                         net::Address upstream, SessionConfig config,
+                         const FaultHooks* faults)
     : sched_(sched),
       node_(node),
       upstream_(node, upstream),
       config_(std::move(config)),
+      faults_(faults != nullptr ? *faults : FaultHooks{}),
       grace_over_(sched) {
   // NFS procedures pass through (with consistency handling around them).
   static constexpr std::uint32_t kProcs[] = {
@@ -165,7 +167,7 @@ sim::Task<Bytes> ProxyServer::HandleNfs(std::uint32_t proc, rpc::CallContext ctx
   OpInfo info = Classify(proc, args);
   // Fault injection for the trace checker's negative tests: skip the recall
   // step entirely so conflicting delegations can coexist.
-  const bool skip_recalls = config_.unsafe_skip_recalls;
+  const bool skip_recalls = faults_.skip_recalls;
 
   // Resolve victims (e.g. the file a REMOVE will unlink) before the mutation
   // lands, so their holders can be recalled / invalidated too.
@@ -469,7 +471,7 @@ sim::Task<Bytes> ProxyServer::HandleMigrate(rpc::CallContext ctx, rpc::Body args
   // Entering write delegation conflicts with every existing holder; entering
   // read delegation or polling only with write holders.
   const bool write_op = to == policy::FileMode::kWriteDelegation;
-  if (!config_.unsafe_skip_recalls) {
+  if (!faults_.skip_recalls) {
     co_await RecallConflicts(fh, ctx.caller, write_op, std::nullopt, ctx.span);
   }
 
@@ -492,10 +494,9 @@ sim::Task<Bytes> ProxyServer::HandleMigrate(rpc::CallContext ctx, rpc::Body args
 
   // Drain-before-switch: every invalidation buffered for this caller+file is
   // delivered inside the MIGRATE reply, so no mutation recorded under the
-  // old mode becomes invisible under the new one. unsafe_skip_drain is fault
-  // injection for the trace checker's negative tests — NEVER enable it
-  // outside tests.
-  if (!config_.unsafe_skip_drain) {
+  // old mode becomes invisible under the new one (FaultHooks::skip_drain
+  // breaks exactly this, for the trace checker's negative tests).
+  if (!faults_.skip_drain) {
     res.drained = DrainInvEntries(fh, ctx.caller);
     auto cit = inv_clients_.find(ctx.caller);
     if (cit != inv_clients_.end() && cit->second.overflowed) {
@@ -700,7 +701,7 @@ DelegationType ProxyServer::DecideGrant(const Fh& fh, net::Address requester,
   ExpireSharers(fh, state);
   // Fault injection for the trace checker's negative tests: grant blindly,
   // ignoring every conflict rule below.
-  if (config_.unsafe_skip_recalls) {
+  if (faults_.skip_recalls) {
     return write_op ? DelegationType::kWrite : DelegationType::kRead;
   }
   // Adaptive sessions: delegations exist only for files a MIGRATE moved out
@@ -846,51 +847,15 @@ void ProxyServer::AttachMetrics(metrics::Registry& registry,
     }
     return static_cast<double>(occupancy);
   });
-  registry.AddProbe(prefix + "forwarded",
-                    [this] { return static_cast<double>(stats_.forwarded); });
-  registry.AddProbe(prefix + "getinv_served", [this] {
-    return static_cast<double>(stats_.getinv_served);
-  });
-  registry.AddProbe(prefix + "callbacks_sent", [this] {
-    return static_cast<double>(stats_.callbacks_sent);
-  });
-  registry.AddProbe(prefix + "force_invalidations", [this] {
-    return static_cast<double>(stats_.force_invalidations);
-  });
-  registry.AddProbe(prefix + "inv_wraps",
-                    [this] { return static_cast<double>(stats_.inv_wraps); });
-  registry.AddProbe(prefix + "recalls_read", [this] {
-    return static_cast<double>(stats_.recalls_read);
-  });
-  registry.AddProbe(prefix + "recalls_write", [this] {
-    return static_cast<double>(stats_.recalls_write);
-  });
-  registry.AddProbe(prefix + "invalidations_recorded", [this] {
-    return static_cast<double>(stats_.invalidations_recorded);
-  });
+  metrics::RegisterCounters(registry, prefix, stats_);
   registry.AddProbe(prefix + "inv_buffer_entries", [this] {
     return static_cast<double>(inv_entries_);
-  });
-  registry.AddProbe(prefix + "inv_entries_peak", [this] {
-    return static_cast<double>(stats_.inv_entries_peak);
   });
   registry.AddProbe(prefix + "inv_buffer_clients", [this] {
     return static_cast<double>(inv_clients_.size());
   });
   registry.AddProbe(prefix + "recall_queue_depth", [this] {
     return static_cast<double>(recalls_in_flight_);
-  });
-  registry.AddProbe(prefix + "notifyinv_sent", [this] {
-    return static_cast<double>(stats_.notifyinv_sent);
-  });
-  registry.AddProbe(prefix + "notifyinv_received", [this] {
-    return static_cast<double>(stats_.notifyinv_received);
-  });
-  registry.AddProbe(prefix + "migrations_served", [this] {
-    return static_cast<double>(stats_.migrations_served);
-  });
-  registry.AddProbe(prefix + "inv_drained", [this] {
-    return static_cast<double>(stats_.inv_drained);
   });
 }
 
@@ -904,8 +869,8 @@ JsonObject ProxyServer::SnapshotState() const {
   snap.Add("known_clients", static_cast<std::uint64_t>(
                                 persistent_clients_.size()));
 
-  // Shard map (empty for single-server sessions).
-  if (!config_.shard_addrs.empty()) {
+  // Shard map (sharded sessions only).
+  if (config_.shard_addrs.size() >= 2) {
     JsonObject shards;
     shards.Add("shard_index",
                static_cast<std::uint64_t>(config_.shard_index));

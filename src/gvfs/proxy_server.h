@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/json_writer.h"
+#include "gvfs/fault_hooks.h"
 #include "gvfs/proto.h"
 #include "gvfs/session.h"
 #include "metrics/registry.h"
@@ -42,36 +43,43 @@
 
 namespace gvfs::proxy {
 
+// Counter table (metrics/registry.h): each row is a ProxyServerStats member
+// and the probe `<prefix><name>` AttachMetrics registers.
+//  - inv_wraps: invalidation-buffer wrap-arounds (oldest entry evicted; the
+//    affected client is forced to whole-cache invalidate on its next poll);
+//  - notifyinv_sent / notifyinv_received: sharded fleets' cross-shard
+//    invalidation notifications (NOTIFYINV) to owning / from peer shards;
+//  - inv_entries_peak: high-water mark of total buffered invalidation
+//    entries across all clients (the per-shard blow-up fig_scale measures);
+//  - migrations_served / inv_drained: adaptive sessions' MIGRATE handshakes
+//    completed for files this shard owns, and the buffered invalidations
+//    delivered inside their replies.
+#define GVFS_PROXY_SERVER_STATS(X)      \
+  X(forwarded)                          \
+  X(callbacks_sent)                     \
+  X(getinv_served)                      \
+  X(force_invalidations)                \
+  X(recalls_read)                       \
+  X(recalls_write)                      \
+  X(invalidations_recorded)             \
+  X(inv_wraps)                          \
+  X(notifyinv_sent)                     \
+  X(notifyinv_received)                 \
+  X(inv_entries_peak)                   \
+  X(migrations_served)                  \
+  X(inv_drained)
+
 struct ProxyServerStats {
-  std::uint64_t forwarded = 0;
-  std::uint64_t callbacks_sent = 0;
-  std::uint64_t getinv_served = 0;
-  std::uint64_t force_invalidations = 0;
-  std::uint64_t recalls_read = 0;
-  std::uint64_t recalls_write = 0;
-  std::uint64_t invalidations_recorded = 0;
-  /// Invalidation-buffer wrap-arounds (oldest entry evicted; the affected
-  /// client is forced to whole-cache invalidate on its next poll).
-  std::uint64_t inv_wraps = 0;
-  /// Sharded fleets: cross-shard invalidation notifications (NOTIFYINV)
-  /// sent to owning shards / received from peer shards.
-  std::uint64_t notifyinv_sent = 0;
-  std::uint64_t notifyinv_received = 0;
-  /// High-water mark of total buffered invalidation entries across all
-  /// clients (the per-shard blow-up fig_scale measures).
-  std::uint64_t inv_entries_peak = 0;
-  /// Adaptive sessions: MIGRATE handshakes completed for files this shard
-  /// owns, and buffered invalidations delivered inside their replies.
-  std::uint64_t migrations_served = 0;
-  std::uint64_t inv_drained = 0;
+  GVFS_COUNTER_TABLE(ProxyServerStats, GVFS_PROXY_SERVER_STATS)
 };
 
 class ProxyServer {
  public:
   /// `node` is this proxy's RPC endpoint (handlers are registered on it);
   /// `upstream` is the kernel NFS server (same host, loopback).
+  /// `faults` is null except in fault-injection tests (gvfs/fault_hooks.h).
   ProxyServer(sim::Scheduler& sched, rpc::RpcNode& node, net::Address upstream,
-              SessionConfig config);
+              SessionConfig config, const FaultHooks* faults = nullptr);
 
   const SessionConfig& config() const { return config_; }
   const ProxyServerStats& stats() const { return stats_; }
@@ -218,6 +226,7 @@ class ProxyServer {
   rpc::RpcNode& node_;
   nfs3::Nfs3Client upstream_;
   SessionConfig config_;
+  FaultHooks faults_;  // all off unless a test injected faults
 
   // Soft state (lost on crash).
   std::map<net::Address, InvClient> inv_clients_;

@@ -96,12 +96,6 @@ struct SessionConfig {
   /// write-back); it is what the WAN savings must amortize.
   Duration disk_access_time = Microseconds(1000);
 
-  /// Fault injection for the trace checker's negative tests: the proxy
-  /// server grants delegations without recalling conflicting holders,
-  /// deliberately breaking the §4.3 single-writer invariant so the checker
-  /// has something to catch. NEVER enable outside tests.
-  bool unsafe_skip_recalls = false;
-
   /// Adaptive consistency (src/policy): the session starts every file under
   /// invalidation polling (model must be kInvalidationPolling — polling
   /// stays on as the safety net) and a per-file policy engine migrates hot
@@ -120,17 +114,11 @@ struct SessionConfig {
   /// Adaptive only: writes observed inside one policy window before a
   /// single-writer file is promoted to a write delegation.
   std::uint32_t policy_write_hot = 3;
-  /// Adaptive only: recall-storm breaker — when the fleet-wide recall count
-  /// grows by at least this much across one policy window, promotions freeze
-  /// (demotions still run) for policy_storm_freeze.
+  /// Adaptive only: recall-storm breaker — when the recalls a client
+  /// observes grow by at least this much across one policy window, its
+  /// promotions freeze (demotions still run) for policy_storm_freeze.
   std::uint32_t policy_storm_recalls = 8;
   Duration policy_storm_freeze = Seconds(30);
-
-  /// Fault injection for TraceChecker invariant 6: the proxy server skips
-  /// draining the caller's buffered invalidations during a MIGRATE, so a
-  /// mutation buffered before the switch becomes invisible after it. NEVER
-  /// enable outside tests.
-  bool unsafe_skip_drain = false;
 
   /// Sharded fleet serving (src/fleet): addresses of every proxy-server
   /// shard in this session, indexed by ShardOf(fh, shard_addrs.size()).

@@ -7,8 +7,19 @@
 //
 // Iteration order over each instrument family is lexicographic (std::map),
 // which makes every exporter's output deterministic for a given run.
+//
+// Counter tables: a component's stats struct declares each counter once, as
+// a row of an X-macro table, and the same rows generate both the struct's
+// std::uint64_t members and the probes RegisterCounters() adds:
+//
+//   #define GVFS_HIT_STATS(X) X(hits) X(misses)
+//   struct HitStats { GVFS_COUNTER_TABLE(HitStats, GVFS_HIT_STATS) };
+//   RegisterCounters(registry, "s0.", stats);  // probes s0.hits, s0.misses
+//
+// Adding a counter is adding one row; it is exported without further wiring.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -73,4 +84,36 @@ class Registry {
   std::map<std::string, std::function<double()>> probes_;
 };
 
+/// One row of a counter table: the counter's name (its registry name under a
+/// prefix) and the member holding its value.
+template <typename Stats>
+struct CounterField {
+  const char* name;
+  std::uint64_t Stats::*member;
+};
+
+/// Registers a pull probe `<prefix><name>` for every row of Stats::Fields(),
+/// reading the live value out of `stats`, which must outlive the registry.
+template <typename Stats>
+void RegisterCounters(Registry& registry, const std::string& prefix,
+                      const Stats& stats) {
+  for (const CounterField<Stats>& field : Stats::Fields()) {
+    registry.AddProbe(prefix + field.name, [&stats, member = field.member] {
+      return static_cast<double>(stats.*member);
+    });
+  }
+}
+
 }  // namespace gvfs::metrics
+
+#define GVFS_COUNTER_MEMBER(name) std::uint64_t name = 0;
+#define GVFS_COUNTER_ROW(name) {#name, &Self::name},
+/// Expands a counter table inside `struct Type`: one zero-initialized
+/// std::uint64_t member per row, plus `static Fields()` listing the rows.
+#define GVFS_COUNTER_TABLE(Type, TABLE)                              \
+  TABLE(GVFS_COUNTER_MEMBER)                                         \
+  static auto Fields() {                                             \
+    using Self = Type;                                               \
+    return std::to_array<::gvfs::metrics::CounterField<Type>>(       \
+        {TABLE(GVFS_COUNTER_ROW)});                                  \
+  }

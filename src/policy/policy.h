@@ -19,11 +19,11 @@
 //    window cannot flip a file;
 //  - dwell: after a migration the file is pinned to its new mode for a
 //    minimum time, damping ping-pong between modes;
-//  - recall-storm breaker: when the fleet-wide recall count (summed from
-//    the metrics registry's *.recalls_read/*.recalls_write probes, or from
-//    locally observed recalls without a registry) jumps by more than a
-//    threshold inside one window, promotions freeze for a cool-down while
-//    demotions keep running — delegation load sheds instead of compounding.
+//  - recall-storm breaker: when the recalls this client observes (OnRecall)
+//    jump by more than a threshold inside one window, promotions freeze for
+//    a cool-down while demotions keep running — delegation load sheds
+//    instead of compounding. The count is the client's own, so turning
+//    metrics on never changes a decision.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +73,22 @@ enum class AccessClass {
 };
 
 const char* AccessClassName(AccessClass cls);
+
+// Counter table (metrics/registry.h): each row is a PolicyStats member and
+// the probe `<prefix>policy_<name>` AttachMetrics registers. decisions counts
+// per-file classifications (one per tracked file per Tick);
+// promotions_frozen, promotions the storm breaker held back; storm_freezes,
+// times the breaker tripped.
+#define GVFS_POLICY_STATS(X)            \
+  X(decisions)                          \
+  X(promotions)                         \
+  X(demotions)                          \
+  X(promotions_frozen)                  \
+  X(storm_freezes)
+
+struct PolicyStats {
+  GVFS_COUNTER_TABLE(PolicyStats, GVFS_POLICY_STATS)
+};
 
 struct PolicyConfig {
   /// Minimum time a file keeps its mode after a migration.
@@ -129,19 +145,18 @@ class PolicyEngine {
 
   bool frozen() const { return frozen_now_; }
 
-  /// Counters/gauges under `prefix` (e.g. "s0.c1.policy_"). Also remembers
-  /// the registry so the storm breaker can sum the fleet-wide
-  /// *.recalls_read / *.recalls_write probes each Tick.
+  /// Counters and gauges as probes named `<prefix>policy_<name>` (e.g.
+  /// "s0.c1.policy_decisions").
   void AttachMetrics(metrics::Registry& registry, const std::string& prefix);
 
   /// Enables kPolicyDecide tracing, stamped with this client's host id.
   void SetTracer(trace::Tracer tracer, HostId host);
 
-  std::uint64_t decisions() const { return decisions_; }
-  std::uint64_t promotions() const { return promotions_; }
-  std::uint64_t demotions() const { return demotions_; }
-  std::uint64_t promotions_frozen() const { return promotions_frozen_; }
-  std::uint64_t storm_freezes() const { return storm_freezes_; }
+  std::uint64_t decisions() const { return stats_.decisions; }
+  std::uint64_t promotions() const { return stats_.promotions; }
+  std::uint64_t demotions() const { return stats_.demotions; }
+  std::uint64_t promotions_frozen() const { return stats_.promotions_frozen; }
+  std::uint64_t storm_freezes() const { return stats_.storm_freezes; }
 
   /// Per-file FSM snapshot for the flight recorder (obs/recorder.h): every
   /// tracked file's mode, hysteresis target, dwell anchor and open-window
@@ -167,29 +182,16 @@ class PolicyEngine {
   AccessClass Classify(const PolicyState& s) const;
   /// Desired mode for a classification; kIdle holds the current mode.
   FileMode TargetFor(const PolicyState& s, AccessClass cls) const;
-  /// Total recalls visible to the breaker: registry probe sum when attached,
-  /// locally observed recalls otherwise.
-  std::uint64_t RecallTotal() const;
-
   PolicyConfig config_;
   std::map<FileId, PolicyState> files_;
 
   SimTime frozen_until_ = 0;
   bool frozen_now_ = false;
-  std::uint64_t prev_recall_total_ = 0;
-  std::uint64_t local_recalls_ = 0;
+  /// Recalls observed (OnRecall) in total, and at the last Tick.
+  std::uint64_t recalls_ = 0;
+  std::uint64_t recalls_at_tick_ = 0;
 
-  std::uint64_t decisions_ = 0;
-  std::uint64_t promotions_ = 0;
-  std::uint64_t demotions_ = 0;
-  std::uint64_t promotions_frozen_ = 0;
-  std::uint64_t storm_freezes_ = 0;
-
-  metrics::Registry* registry_ = nullptr;
-  metrics::Counter* decisions_counter_ = nullptr;
-  metrics::Counter* promotions_counter_ = nullptr;
-  metrics::Counter* demotions_counter_ = nullptr;
-  metrics::Counter* frozen_counter_ = nullptr;
+  PolicyStats stats_;
 
   trace::Tracer tracer_;
   HostId host_ = kInvalidHost;

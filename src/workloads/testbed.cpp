@@ -6,10 +6,6 @@ namespace {
 constexpr std::uint32_t kNfsdPort = 2049;
 }
 
-sim::Task<void> GvfsSession::Shutdown() {
-  for (auto* proxy : proxies) co_await proxy->Shutdown();
-}
-
 sim::Task<void> FleetSession::Shutdown() {
   for (auto* proxy : proxies) co_await proxy->Shutdown();
   if (aggregator != nullptr) aggregator->Stop();
@@ -111,89 +107,20 @@ kclient::KernelClient& Testbed::NativeMount(int index,
   return *mounts_.back();
 }
 
+void Testbed::InjectFaults(const proxy::FaultHooks& hooks) {
+  faults_ = std::make_unique<proxy::FaultHooks>(hooks);
+}
+
 GvfsSession& Testbed::CreateSession(const proxy::SessionConfig& config,
                                     const std::vector<int>& clients,
                                     kclient::MountOptions kernel_options) {
-  sessions_.push_back(GvfsSession{});
+  FleetConfig fleet;
+  fleet.session = config;
+  sessions_.emplace_back();
   GvfsSession& session = sessions_.back();
-
-  stats_.push_back(std::make_unique<rpc::StatsMap>());
-  rpc::StatsMap* stats = stats_.back().get();
-  session.stats = stats;
-
-  // Proxy server beside the kernel NFS server (loopback upstream).
-  const std::uint32_t session_port = next_port_++;
-  rpc::RpcNode& server_node =
-      domain_.CreateNode(server_host_, session_port, "proxy-server");
-  server_node.SetStatsSink(stats);  // counts CALLBACK / recovery traffic
-  proxy_servers_.push_back(std::make_unique<proxy::ProxyServer>(
-      sched_, server_node, nfsd_node_->address(), config));
-  session.server = proxy_servers_.back().get();
-
-  // Observatory wiring: per-session staleness probe (server stamps versions,
-  // proxy clients report cached reads into one shared histogram) plus each
-  // proxy's telemetry under a session-scoped prefix.
-  metrics::StalenessProbe* probe = nullptr;
-  std::string session_tag = "s";
-  session_tag += std::to_string(sessions_.size() - 1);
-  if (metrics_registry_ != nullptr) {
-    staleness_probes_.emplace_back();
-    probe = &staleness_probes_.back();
-    probe->SetHistogram(
-        &metrics_registry_->GetHistogram(session_tag + ".staleness_us"));
-    session.server->AttachMetrics(*metrics_registry_, session_tag + ".", probe);
-    metrics_registry_->AddProbe(session_tag + ".rpc_in_flight", [stats] {
-      return static_cast<double>(stats->InFlight());
-    });
-  }
-
-  if (watchdog_ != nullptr) {
-    // Staleness SLO: polling-path sessions carry the paper's proven
-    // poll_period + 2*RTT bound (adaptive sessions start in polling mode).
-    if (config.model == proxy::ConsistencyModel::kInvalidationPolling ||
-        config.adaptive) {
-      watchdog_->AddStalenessSlo(
-          session_tag + ".staleness_us",
-          config.poll_period + 4 * config_.wan.one_way_latency);
-    }
-    proxy::ProxyServer* server = session.server;
-    recorder_->AddStateProvider(session_tag + ".server", [server] {
-      return server->SnapshotState().Dump();
-    });
-  }
-
-  for (int index : clients) {
-    HostId host = client_hosts_.at(index);
-    // Proxy client: serves the local kernel client, calls the proxy server
-    // across the WAN (counted), and answers callbacks.
-    rpc::RpcNode& proxy_node = domain_.CreateNode(
-        host, session_port, "proxy-client@" + network_.HostName(host));
-    proxy_node.SetStatsSink(stats);
-    proxy_clients_.push_back(std::make_unique<proxy::ProxyClient>(
-        sched_, proxy_node, server_node.address(), config));
-    proxy::ProxyClient* proxy = proxy_clients_.back().get();
-    if (metrics_registry_ != nullptr) {
-      proxy->AttachMetrics(
-          *metrics_registry_,
-          session_tag + ".c" + std::to_string(host) + ".", probe);
-    }
-    if (watchdog_ != nullptr) {
-      recorder_->AddStateProvider(
-          session_tag + ".c" + std::to_string(host),
-          [proxy] { return proxy->SnapshotState().Dump(); });
-    }
-    proxy->Start();
-    session.proxies.push_back(proxy);
-
-    // Unmodified kernel client, mounted against the local proxy (loopback).
-    rpc::RpcNode& kernel_node = domain_.CreateNode(
-        host, next_port_++, "kclient@" + network_.HostName(host));
-    mounts_.push_back(std::make_unique<kclient::KernelClient>(
-        sched_, kernel_node, proxy_node.address(), nfsd_->RootFh(),
-        kernel_options));
-    session.mounts.push_back(mounts_.back().get());
-    mount_stats_[mounts_.back().get()] = stats;
-  }
+  BuildSession(session, fleet, "s" + std::to_string(sessions_.size() - 1),
+               /*classic_names=*/true, clients, clients.size(), kernel_options);
+  session.server = session.shards[0];
   return session;
 }
 
@@ -201,15 +128,21 @@ FleetSession& Testbed::CreateFleetSession(const FleetConfig& config,
                                           const std::vector<int>& clients,
                                           std::size_t active_mounts,
                                           kclient::MountOptions kernel_options) {
-  fleet_sessions_.push_back(FleetSession{});
+  fleet_sessions_.emplace_back();
   FleetSession& session = fleet_sessions_.back();
+  BuildSession(session, config, "f" + std::to_string(fleet_sessions_.size() - 1),
+               /*classic_names=*/false, clients, active_mounts, kernel_options);
+  return session;
+}
 
+void Testbed::BuildSession(FleetSession& session, const FleetConfig& config,
+                           const std::string& tag, bool classic_names,
+                           const std::vector<int>& clients,
+                           std::size_t active_mounts,
+                           const kclient::MountOptions& kernel_options) {
   stats_.push_back(std::make_unique<rpc::StatsMap>());
   rpc::StatsMap* stats = stats_.back().get();
   session.stats = stats;
-
-  std::string tag = "f";
-  tag += std::to_string(fleet_sessions_.size() - 1);
 
   // Reserve the shard ports up front: every shard (and every client) needs
   // the full ShardOf-indexed address vector before any node is created.
@@ -223,6 +156,9 @@ FleetSession& Testbed::CreateFleetSession(const FleetConfig& config,
   const std::uint32_t client_port = next_port_++;
   session.router = fleet::ShardRouter(shard_addrs);
 
+  // Observatory wiring: one staleness probe per session (servers stamp
+  // versions, proxy clients report cached reads into one shared histogram)
+  // plus each component's telemetry under a session-scoped prefix.
   metrics::StalenessProbe* probe = nullptr;
   if (metrics_registry_ != nullptr) {
     staleness_probes_.emplace_back();
@@ -234,6 +170,8 @@ FleetSession& Testbed::CreateFleetSession(const FleetConfig& config,
   }
 
   if (watchdog_ != nullptr) {
+    // Staleness SLO: polling-path sessions carry the paper's proven
+    // poll_period + 2*RTT bound (adaptive sessions start in polling mode).
     if (config.session.model == proxy::ConsistencyModel::kInvalidationPolling ||
         config.session.adaptive) {
       watchdog_->AddStalenessSlo(
@@ -257,22 +195,23 @@ FleetSession& Testbed::CreateFleetSession(const FleetConfig& config,
   for (std::uint32_t k = 0; k < shard_count; ++k) {
     rpc::RpcNode& shard_node = domain_.CreateNode(
         server_host_, shard_addrs[k].port, "proxy-shard" + std::to_string(k));
-    shard_node.SetStatsSink(stats);
+    shard_node.SetStatsSink(stats);  // counts CALLBACK / recovery traffic
     proxy::SessionConfig shard_config = config.session;
     shard_config.shard_addrs = shard_addrs;
     shard_config.shard_index = k;
     proxy_servers_.push_back(std::make_unique<proxy::ProxyServer>(
-        sched_, shard_node, nfsd_node_->address(), shard_config));
-    session.shards.push_back(proxy_servers_.back().get());
+        sched_, shard_node, nfsd_node_->address(), shard_config, faults_.get()));
+    proxy::ProxyServer* shard = proxy_servers_.back().get();
+    session.shards.push_back(shard);
+    const std::string shard_tag = tag + ".s" + std::to_string(k);
     if (metrics_registry_ != nullptr) {
-      session.shards.back()->AttachMetrics(
-          *metrics_registry_, tag + ".s" + std::to_string(k) + ".", probe);
+      shard->AttachMetrics(*metrics_registry_,
+                           classic_names ? tag + "." : shard_tag + ".", probe);
     }
     if (watchdog_ != nullptr) {
-      proxy::ProxyServer* shard = session.shards.back();
-      recorder_->AddStateProvider(tag + ".s" + std::to_string(k), [shard] {
-        return shard->SnapshotState().Dump();
-      });
+      recorder_->AddStateProvider(
+          classic_names ? tag + ".server" : shard_tag,
+          [shard] { return shard->SnapshotState().Dump(); });
     }
   }
 
@@ -289,7 +228,7 @@ FleetSession& Testbed::CreateFleetSession(const FleetConfig& config,
     fleet::InvAggregatorConfig agg_config = config.aggregator;
     agg_config.shards = shard_addrs;
     aggregators_.push_back(std::make_unique<fleet::InvAggregator>(
-        sched_, agg_node, std::move(agg_config)));
+        sched_, agg_node, std::move(agg_config), faults_.get()));
     session.aggregator = aggregators_.back().get();
     if (metrics_registry_ != nullptr) {
       session.aggregator->AttachMetrics(*metrics_registry_, tag + ".agg.");
@@ -304,6 +243,8 @@ FleetSession& Testbed::CreateFleetSession(const FleetConfig& config,
       // server; the tier's win is server-side fan-in, not client latency.
       network_.Connect(host, agg_addr.host, config_.wan);
     }
+    // Proxy client: serves the local kernel client, calls the owning shard
+    // across the WAN (counted), and answers callbacks.
     rpc::RpcNode& proxy_node = domain_.CreateNode(
         host, client_port, "proxy-client@" + network_.HostName(host));
     proxy_node.SetStatsSink(stats);
@@ -313,19 +254,20 @@ FleetSession& Testbed::CreateFleetSession(const FleetConfig& config,
     proxy_clients_.push_back(std::make_unique<proxy::ProxyClient>(
         sched_, proxy_node, shard_addrs[0], client_config));
     proxy::ProxyClient* proxy = proxy_clients_.back().get();
+    const std::string client_tag = tag + ".c" + std::to_string(host);
     if (metrics_registry_ != nullptr) {
-      proxy->AttachMetrics(*metrics_registry_,
-                           tag + ".c" + std::to_string(host) + ".", probe);
+      proxy->AttachMetrics(*metrics_registry_, client_tag + ".", probe);
     }
     // Providers only for active mounts: a 4096-member poll-only fleet would
     // otherwise dominate every dump with idle client snapshots.
     if (watchdog_ != nullptr && i < active_mounts) {
-      recorder_->AddStateProvider(tag + ".c" + std::to_string(host),
-                                  [proxy] { return proxy->SnapshotState().Dump(); });
+      recorder_->AddStateProvider(
+          client_tag, [proxy] { return proxy->SnapshotState().Dump(); });
     }
     proxy->Start();
     session.proxies.push_back(proxy);
 
+    // Unmodified kernel client, mounted against the local proxy (loopback).
     if (i < active_mounts) {
       rpc::RpcNode& kernel_node = domain_.CreateNode(
           host, next_port_++, "kclient@" + network_.HostName(host));
@@ -336,7 +278,6 @@ FleetSession& Testbed::CreateFleetSession(const FleetConfig& config,
       mount_stats_[mounts_.back().get()] = stats;
     }
   }
-  return session;
 }
 
 afs::AfsClient& Testbed::AfsMount(int index) {

@@ -44,22 +44,6 @@ struct TestbedConfig {
   net::LinkConfig lan{Microseconds(250), 100'000'000};
 };
 
-/// One middleware-established GVFS session (Figure 1).
-struct GvfsSession {
-  proxy::ProxyServer* server = nullptr;
-  std::vector<proxy::ProxyClient*> proxies;
-  std::vector<kclient::KernelClient*> mounts;
-  /// WAN RPCs for this session (proxy-client upstream calls + server
-  /// callbacks), by procedure.
-  rpc::StatsMap* stats = nullptr;
-
-  kclient::KernelClient& mount(std::size_t i) { return *mounts.at(i); }
-  proxy::ProxyClient& proxy(std::size_t i) { return *proxies.at(i); }
-
-  /// Flushes all proxy caches and stops background tasks.
-  sim::Task<void> Shutdown();
-};
-
 /// Topology of a fleet-scale session (src/fleet): N proxy-server shards
 /// beside the kernel NFS server, optionally fronted by a GETINV aggregation
 /// tier.
@@ -94,8 +78,8 @@ struct FleetSession {
   /// Kernel mounts, one per ACTIVE client (the first `active_mounts` of the
   /// client list); passive clients run only the proxy's poll loop.
   std::vector<kclient::KernelClient*> mounts;
-  /// Session RPCs (client upstream calls, GETINV fan-in, NOTIFYINV,
-  /// aggregator upstream polls), by procedure.
+  /// Session RPCs (client upstream calls, server callbacks, GETINV fan-in,
+  /// NOTIFYINV, aggregator upstream polls), by procedure.
   rpc::StatsMap* stats = nullptr;
   fleet::ShardRouter router;
 
@@ -105,6 +89,12 @@ struct FleetSession {
 
   /// Flushes all proxy caches and stops background tasks (incl. the tier).
   sim::Task<void> Shutdown();
+};
+
+/// One middleware-established GVFS session (Figure 1): the smallest fleet —
+/// one proxy server, no aggregation tier, a kernel mount on every client.
+struct GvfsSession : FleetSession {
+  proxy::ProxyServer* server = nullptr;  // == shards[0]
 };
 
 class Testbed {
@@ -130,7 +120,8 @@ class Testbed {
   /// Establishes a GVFS session across the given clients: a proxy server
   /// beside the kernel NFS server, a proxy client per host, and a kernel
   /// mount per host pointed at its local proxy. Background consistency tasks
-  /// are started.
+  /// are started. This is CreateFleetSession with one shard and no tier; its
+  /// telemetry keeps the classic names (`s<N>.` for the server).
   GvfsSession& CreateSession(const proxy::SessionConfig& config,
                              const std::vector<int>& clients,
                              kclient::MountOptions kernel_options = {});
@@ -168,10 +159,12 @@ class Testbed {
 
   /// Turns on the consistency observatory: a metrics registry plus a
   /// sim-clock sampler snapshotting it every `period`. Sessions created
-  /// after this call register their proxies' telemetry (prefixed
-  /// `s<N>.`/`s<N>.c<host>.`) and a per-session staleness probe whose
-  /// histogram is `s<N>.staleness_us`. Call before CreateSession; idempotent
-  /// (the period of the first call wins).
+  /// after this call register their proxies' telemetry and a per-session
+  /// staleness probe: CreateSession's under `s<N>.` (server),
+  /// `s<N>.c<host>.` (clients) and `s<N>.staleness_us`; CreateFleetSession's
+  /// under `f<N>.s<k>.`, `f<N>.agg.`, `f<N>.c<host>.` and
+  /// `f<N>.staleness_us`. Call before creating sessions; idempotent (the
+  /// period of the first call wins).
   metrics::Registry& EnableMetrics(Duration period = Seconds(1));
 
   /// The registry/sampler, or nullptr when metrics were never enabled.
@@ -197,7 +190,21 @@ class Testbed {
   obs::Watchdog* watchdog() { return watchdog_.get(); }
   obs::FlightRecorder* recorder() { return recorder_.get(); }
 
+  /// Fault injection for negative tests: proxy servers and aggregators
+  /// built after this call run with `hooks` (gvfs/fault_hooks.h). Without
+  /// it they get a null FaultHooks pointer.
+  void InjectFaults(const proxy::FaultHooks& hooks);
+
  private:
+  /// The one session builder behind CreateSession and CreateFleetSession.
+  /// Metric and state-provider names start with `tag`; shard k registers
+  /// as `<tag>.s<k>`, unless `classic_names`, where the (single) server
+  /// registers metrics under `<tag>.` and its state as `<tag>.server`.
+  void BuildSession(FleetSession& session, const FleetConfig& config,
+                    const std::string& tag, bool classic_names,
+                    const std::vector<int>& clients, std::size_t active_mounts,
+                    const kclient::MountOptions& kernel_options);
+
   TestbedConfig config_;
   sim::Scheduler sched_;
   net::Network network_;
@@ -230,6 +237,7 @@ class Testbed {
   std::unique_ptr<obs::FlightRecorder> recorder_;
   std::string dump_path_;
   bool dump_written_ = false;
+  std::unique_ptr<proxy::FaultHooks> faults_;
 };
 
 }  // namespace gvfs::workloads

@@ -1,12 +1,17 @@
 // Tests for the consistency observatory (src/metrics/): registry instrument
 // semantics, log-histogram bucket boundaries, sim-clock sampler determinism
-// (two identical runs must produce byte-identical time series), and the
+// (two identical runs must produce byte-identical time series), the
 // staleness probe — both its filtering rules in isolation and the end-to-end
 // bound under invalidation polling (measured staleness stays within the
-// polling period plus round trips).
+// polling period plus round trips) — and the counter contract: every row of
+// every counter table is exported, under the session's names, to the
+// registry and the flight recorder's dump.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
+
+#include "common/json_value.h"
 
 #include "metrics/export.h"
 #include "metrics/histogram.h"
@@ -320,6 +325,96 @@ TEST(StalenessProbe, ZeroWithoutForeignWrites) {
   // Every read either hits the writer's own versions or fresh data: all
   // samples are 0.
   EXPECT_EQ(hist.max(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Counter contract
+// ---------------------------------------------------------------------------
+
+/// `<prefix><name>` for every row of a counter table.
+template <typename Stats>
+std::vector<std::string> RowNames(const std::string& prefix) {
+  std::vector<std::string> names;
+  for (const auto& field : Stats::Fields()) names.push_back(prefix + field.name);
+  return names;
+}
+
+std::string HostTag(const Testbed& bed, int client) {
+  return ".c" + std::to_string(bed.client_host(client)) + ".";
+}
+
+TEST(CounterTables, EveryRowReachesRegistryAndDump) {
+  Testbed bed;
+  bed.EnableDiagnosis();
+  const int solo = bed.AddWanClient();
+  const int member = bed.AddWanClient();
+  SessionConfig adaptive;
+  adaptive.adaptive = true;
+  auto& session = bed.CreateSession(adaptive, {solo});
+  FleetConfig tiered;
+  tiered.aggregate = true;
+  auto& fleet = bed.CreateFleetSession(tiered, {member});
+
+  const std::string client = "s0" + HostTag(bed, solo);
+  std::vector<std::string> expected = RowNames<proxy::ProxyServerStats>("s0.");
+  for (const auto& rows :
+       {RowNames<proxy::ProxyClientStats>(client),
+        RowNames<policy::PolicyStats>(client + "policy_"),
+        RowNames<fleet::InvAggregatorStats>("f0.agg.")}) {
+    expected.insert(expected.end(), rows.begin(), rows.end());
+  }
+
+  JsonParser parser;
+  const JsonValue dump = parser.Parse(bed.recorder()->Render("contract"));
+  ASSERT_TRUE(parser.ok()) << parser.error();
+  for (const std::string& name : expected) {
+    EXPECT_EQ(bed.metrics_registry()->probes().count(name), 1u) << name;
+    EXPECT_TRUE(dump["metrics"]["probes"].Has(name)) << name;
+  }
+
+  RunTask(bed.sched(), session.Shutdown());
+  RunTask(bed.sched(), fleet.Shutdown());
+}
+
+TEST(CounterTables, SessionsFollowTheNameContract) {
+  Testbed bed;
+  bed.EnableMetrics();
+  std::vector<int> clients;
+  for (int i = 0; i < 3; ++i) clients.push_back(bed.AddWanClient());
+  auto& first = bed.CreateSession(SessionConfig{}, {clients[0]});
+  auto& second = bed.CreateSession(SessionConfig{}, {clients[1]});
+  FleetConfig sharded;
+  sharded.shards = 2;
+  sharded.aggregate = true;
+  auto& fleet = bed.CreateFleetSession(sharded, {clients[2]});
+
+  const metrics::Registry& registry = *bed.metrics_registry();
+  auto expect_names = [&](const std::vector<std::string>& names) {
+    for (const std::string& name : names) {
+      EXPECT_EQ(registry.probes().count(name), 1u) << name;
+    }
+  };
+  // A CreateSession session is a 1-shard fleet that keeps the classic names:
+  // its server registers directly under s<N>., never as s<N>.s0.
+  for (int s = 0; s < 2; ++s) {
+    const std::string tag = "s" + std::to_string(s);
+    EXPECT_EQ(registry.histograms().count(tag + ".staleness_us"), 1u) << tag;
+    expect_names({tag + ".rpc_in_flight"});
+    expect_names(RowNames<proxy::ProxyServerStats>(tag + "."));
+    expect_names(
+        RowNames<proxy::ProxyClientStats>(tag + HostTag(bed, clients[s])));
+    EXPECT_EQ(registry.probes().count(tag + ".s0.forwarded"), 0u) << tag;
+  }
+  EXPECT_EQ(registry.histograms().count("f0.staleness_us"), 1u);
+  expect_names({"f0.rpc_in_flight"});
+  expect_names(RowNames<proxy::ProxyServerStats>("f0.s0."));
+  expect_names(RowNames<proxy::ProxyServerStats>("f0.s1."));
+  expect_names(RowNames<fleet::InvAggregatorStats>("f0.agg."));
+  expect_names(RowNames<proxy::ProxyClientStats>("f0" + HostTag(bed, clients[2])));
+
+  RunTask(bed.sched(), first.Shutdown());
+  RunTask(bed.sched(), second.Shutdown());
+  RunTask(bed.sched(), fleet.Shutdown());
 }
 
 }  // namespace
