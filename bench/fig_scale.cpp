@@ -3,8 +3,9 @@
 // proxy-server shards — measuring what the fleet subsystem exists to fix:
 //
 //   * server-side GETINV load (polls actually absorbed by the shards);
-//   * per-shard invalidation-buffer occupancy (peak entries the server must
-//     hold while slow pollers lag);
+//   * per-shard invalidation-log occupancy (peak entries the server must
+//     store while slow pollers lag — each mutation once, however many
+//     clients owe it);
 //
 // plus per-shard gauges (inv-buffer occupancy, callback count, recall queue
 // depth) read live from the metrics observatory. Every point runs under the
@@ -251,8 +252,8 @@ const Point* Find(const std::vector<Point>& points, int clients,
 }
 
 /// The scaling claims the fleet subsystem is sold on, asserted at the
-/// largest client count of this run.
-bool CheckClaims(const std::vector<Point>& points, int top) {
+/// largest client count of this run (`top`) against the smallest (`bottom`).
+bool CheckClaims(const std::vector<Point>& points, int bottom, int top) {
   const Point* d1 = Find(points, top, 1, false);
   const Point* d4 = Find(points, top, 4, false);
   const Point* a1 = Find(points, top, 1, true);
@@ -280,15 +281,36 @@ bool CheckClaims(const std::vector<Point>& points, int top) {
                  static_cast<unsigned long long>(d1->inv_peak_max_shard));
     ok = false;
   }
-  // The tier keeps per-client buffers off the server entirely: each shard
-  // holds one downstream (the aggregator) instead of N.
-  if (a1->inv_peak_max_shard >= d1->inv_peak_max_shard) {
+  // The invalidation log stores each mutation once, not once per client:
+  // no stored-entry peak grows with the client count, per shard in direct
+  // mode and in the tier.
+  auto no_growth = [&](const Topology& topo, const std::string& where,
+                       double small, double large) {
+    if (large <= small) return;
     std::fprintf(stderr,
-                 "CHECK FAIL: tier did not reduce server buffer peak "
-                 "(agg %llu vs direct %llu)\n",
-                 static_cast<unsigned long long>(a1->inv_peak_max_shard),
-                 static_cast<unsigned long long>(d1->inv_peak_max_shard));
+                 "CHECK FAIL: %s stored-entry peak grew with clients "
+                 "(shards=%u mode=%s: %.0f at N=%d vs %.0f at N=%d)\n",
+                 where.c_str(), topo.shards, ModeName(topo.aggregate), large,
+                 top, small, bottom);
     ok = false;
+  };
+  for (const Topology& topo : kTopologies) {
+    const Point* lo = Find(points, bottom, topo.shards, topo.aggregate);
+    const Point* hi = Find(points, top, topo.shards, topo.aggregate);
+    if (lo == nullptr || hi == nullptr) {
+      std::fprintf(stderr, "CHECK FAIL: missing sweep points at N=%d\n",
+                   bottom);
+      return false;
+    }
+    if (topo.aggregate) {
+      no_growth(topo, "tier", static_cast<double>(lo->agg_inv_peak),
+                static_cast<double>(hi->agg_inv_peak));
+      continue;
+    }
+    for (std::size_t k = 0; k < hi->gauges.size(); ++k) {
+      no_growth(topo, "shard " + std::to_string(k),
+                lo->gauges[k].inv_entries_peak, hi->gauges[k].inv_entries_peak);
+    }
   }
   // No invalidations went missing: with the tier in place, clients still
   // apply (or are force-invalidated for) every mutation round.
@@ -376,14 +398,15 @@ int Main(bool smoke, bool check, const std::optional<std::string>& json_out) {
   }
 
   if (check) {
-    bool ok = CheckClaims(points, sweep.back());
+    bool ok = CheckClaims(points, sweep.front(), sweep.back());
     ok = CheckStaleness(points) && ok;
     if (!ok) return 1;
   }
   if (check) {
     std::printf("CHECK OK: aggregation and sharding reduce server-side "
-                "GETINV load and per-shard buffer peaks at N=%d\n",
-                sweep.back());
+                "GETINV load and per-shard buffer peaks at N=%d, and no "
+                "stored-entry peak grows from N=%d\n",
+                sweep.back(), sweep.front());
   }
   return 0;
 }

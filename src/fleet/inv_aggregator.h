@@ -5,15 +5,15 @@
 // point SessionConfig::getinv_targets at the aggregator instead of polling
 // every shard, and the aggregator folds the whole fleet's GETINV fan-in
 // into ONE batched upstream poll per shard per period. Received handles are
-// fanned back out into per-downstream-client buffers with the same
-// coalescing / wrap-around semantics as the proxy server's own buffers, so
+// appended to the same invalidation log the proxy server uses
+// (gvfs/inv_log.h) — stored once, with a cursor per downstream client — so
 // a client cannot tell whether it is polling a server or the tier.
 //
-// Escalation is preserved end to end: an upstream force-invalidate (shard
-// buffer wrapped while the aggregator was partitioned, shard restart) or a
-// downstream buffer overflow breaks the incremental stream for the affected
-// client(s), who are then served a whole-cache invalidation on their next
-// poll — never a silently truncated handle list.
+// Escalation is preserved end to end: an upstream force-invalidate (the
+// aggregator's stream broke at the shard while it was partitioned, shard
+// restart) or a downstream overflow breaks the incremental stream for the
+// affected client(s), who are then served a whole-cache invalidation on
+// their next poll — never a silently truncated handle list.
 //
 // Trace discipline (checked by TraceChecker invariant 5, kAggTier): per
 // upstream handle the aggregator emits one kAggFanout per registered
@@ -24,13 +24,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "common/json_writer.h"
 #include "gvfs/fault_hooks.h"
+#include "gvfs/inv_log.h"
 #include "gvfs/proto.h"
 #include "gvfs/session.h"
 #include "metrics/registry.h"
@@ -62,7 +61,7 @@ struct InvAggregatorConfig {
   /// Max handles per downstream GETINV reply (bigger sets poll again).
   std::uint32_t getinv_batch = 512;
 
-  /// Per-downstream-client buffer capacity; overflow breaks the client's
+  /// Per-downstream-client owed-entry capacity; overflow breaks the client's
   /// incremental stream and escalates to a whole-cache invalidation.
   std::size_t inv_buffer_capacity = 8192;
 };
@@ -73,10 +72,11 @@ struct InvAggregatorConfig {
 //    shard-side force-invalidates they returned;
 //  - getinv_served: downstream GETINV polls served; handles_ingested /
 //    handles_fanned_out / handles_delivered: handles received from shards,
-//    appended to downstream buffers, and served to clients;
+//    owed to downstream clients (one per client an append reaches), and
+//    served to clients;
 //  - force_invalidations: whole-cache serves downstream; inv_wraps:
-//    downstream buffer overflows; inv_entries_peak: high-water mark of total
-//    buffered entries across downstream clients.
+//    downstream streams broken by overflow, once per break;
+//    inv_entries_peak: high-water mark of the entries the log stores.
 #define GVFS_INV_AGGREGATOR_STATS(X)    \
   X(upstream_polls)                     \
   X(upstream_forces)                    \
@@ -110,55 +110,35 @@ class InvAggregator {
 
   const InvAggregatorConfig& config() const { return config_; }
   const InvAggregatorStats& stats() const { return stats_; }
-  std::size_t DownstreamClients() const { return clients_.size(); }
+  std::size_t DownstreamClients() const { return inv_log_.clients(); }
 
-  /// Registers live telemetry (buffer gauges + the counters above) under
+  /// Registers live telemetry (log gauges + the counters above) under
   /// `prefix`.
   void AttachMetrics(metrics::Registry& registry, const std::string& prefix);
 
+  /// Tier state for the flight recorder (obs/recorder.h): the log's
+  /// downstream cursors, broken streams included.
+  JsonObject SnapshotState() const;
+
  private:
-  struct Entry {
-    std::uint64_t timestamp;
-    nfs3::Fh fh;
-  };
-
-  /// Per-downstream-client buffer, mirroring ProxyServer::InvClient.
-  struct Downstream {
-    std::deque<Entry> buffer;
-    std::set<nfs3::Fh> pending;  // coalescing: one entry per file
-    std::uint64_t last_acked = 0;
-    /// Incremental stream broken (local overflow or upstream force); the
-    /// next poll is served a whole-cache invalidation.
-    bool overflowed = false;
-  };
-
   sim::Task<Bytes> HandleGetInv(rpc::CallContext ctx, rpc::Body args);
 
   sim::Task<void> PollLoop();
   sim::Task<void> PollShardOnce(std::size_t shard_index);
 
-  /// Absorbs one upstream handle: fan out to every registered downstream
-  /// client, then stamp the ingest marker.
+  /// Absorbs one upstream handle: append it to the log (one kAggFanout per
+  /// downstream client it reaches), then stamp the ingest marker.
   void Ingest(const nfs3::Fh& fh, HostId shard_host);
-  /// Appends one handle to one downstream buffer (with coalescing and
-  /// overflow handling). Returns true when an entry was appended.
-  bool Fanout(const net::Address& client, Downstream& state,
-              const nfs3::Fh& fh);
-  /// Upstream force-invalidate: break every downstream client's stream.
-  void EscalateForce(std::uint64_t upstream_timestamp);
 
   sim::Scheduler& sched_;
   rpc::RpcNode& node_;
   InvAggregatorConfig config_;
-  proxy::FaultHooks faults_;  // all off unless a test injected faults
 
-  std::map<net::Address, Downstream> clients_;
-  /// The aggregator's own logical clock for downstream timestamps; starts
-  /// at 1 (0 is the bootstrap null timestamp), like the server's.
-  std::uint64_t agg_clock_ = 1;
+  /// Downstream invalidations on the aggregator's own clock: timestamps
+  /// stay dense and monotone however the shards' clocks interleave.
+  InvLog inv_log_;
   /// Last-seen upstream timestamp per shard (index-parallel to shards).
   std::vector<std::uint64_t> shard_timestamps_;
-  std::size_t inv_entries_ = 0;  // total buffered entries, all clients
 
   bool running_ = false;
   std::uint64_t epoch_ = 0;

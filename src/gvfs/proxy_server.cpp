@@ -1,7 +1,5 @@
 #include "gvfs/proxy_server.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "trace/trace.h"
 
@@ -18,6 +16,8 @@ ProxyServer::ProxyServer(sim::Scheduler& sched, rpc::RpcNode& node,
       upstream_(node, upstream),
       config_(std::move(config)),
       faults_(faults != nullptr ? *faults : FaultHooks{}),
+      inv_log_(InvLog::Role::kServer, node.tracer(), node.address().host,
+               config_.inv_buffer_capacity, config_.getinv_batch),
       grace_over_(sched) {
   // NFS procedures pass through (with consistency handling around them).
   static constexpr std::uint32_t kProcs[] = {
@@ -279,31 +279,9 @@ sim::Task<Bytes> ProxyServer::HandleNfs(std::uint32_t proc, rpc::CallContext ctx
 
 void ProxyServer::RecordInvalidation(const Fh& fh, net::Address writer) {
   if (config_.model != ConsistencyModel::kInvalidationPolling) return;
-  const auto& tr = node_.tracer();
-  const HostId host = node_.address().host;
-  ++inv_clock_;
-  for (auto& [client, state] : inv_clients_) {
-    if (client == writer) continue;  // the writer observed its own change
-    if (!state.pending.insert(fh).second) continue;  // coalesced
-    state.buffer.push_back(InvEntry{inv_clock_, fh});
-    ++stats_.invalidations_recorded;
-    ++inv_entries_;
-    stats_.inv_entries_peak =
-        std::max<std::uint64_t>(stats_.inv_entries_peak, inv_entries_);
-    tr.Inv(trace::EventType::kInvAppend, host, fh.fsid, fh.ino, inv_clock_,
-           static_cast<std::uint32_t>(state.buffer.size()), client.host);
-    if (state.buffer.size() > config_.inv_buffer_capacity) {
-      const InvEntry& oldest = state.buffer.front();
-      tr.Inv(trace::EventType::kInvWrap, host, oldest.fh.fsid, oldest.fh.ino,
-             oldest.timestamp,
-             static_cast<std::uint32_t>(state.buffer.size()), client.host);
-      ++stats_.inv_wraps;
-      state.pending.erase(oldest.fh);
-      state.buffer.pop_front();
-      --inv_entries_;
-      state.overflowed = true;  // wrap-around: this client must force-invalidate
-    }
-  }
+  stats_.invalidations_recorded += inv_log_.Append(fh, writer);
+  stats_.inv_wraps = inv_log_.wraps();
+  stats_.inv_entries_peak = inv_log_.peak_entries();
 }
 
 bool ProxyServer::OwnsHandle(const Fh& fh) const {
@@ -360,100 +338,18 @@ sim::Task<Bytes> ProxyServer::HandleNotifyInv(rpc::CallContext ctx,
 sim::Task<Bytes> ProxyServer::HandleGetInv(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.getinv_served;
   RegisterClient(ctx.caller);
-  const auto& tr = node_.tracer();
-  const HostId host = node_.address().host;
-
-  GetInvRes res;
+  // A malformed request reads as the null timestamp: whole-cache
+  // invalidation.
   auto parsed = nfs3::Parse<GetInvArgs>(args);
-  if (!parsed) {
-    res.force_invalidate = true;
-    res.new_timestamp = inv_clock_;
-    co_return Serialize(res);
-  }
-
-  auto it = inv_clients_.find(ctx.caller);
-  if (it == inv_clients_.end()) {
-    // Case 1: first GETINV from this client (bootstrap, or first contact
-    // after a server restart that lost all buffers).
-    auto& state = inv_clients_[ctx.caller];
-    state.last_acked = inv_clock_;
-    res.new_timestamp = inv_clock_;
-    res.force_invalidate = true;
-    ++stats_.force_invalidations;
-    tr.Inv(trace::EventType::kInvForce, host, 0, 0, inv_clock_, 0,
-           ctx.caller.host);
-    co_return Serialize(res);
-  }
-
-  InvClient& state = it->second;
-  const std::uint64_t ts = parsed->last_timestamp;
-  const bool stale_ts = ts == 0 || ts < state.last_acked || ts > inv_clock_;
-  if (stale_ts || state.overflowed) {
-    // Case 2: the client cannot be brought up to date incrementally (lost
-    // timestamp, or its buffer wrapped around during a partition).
-    inv_entries_ -= state.buffer.size();
-    state.buffer.clear();
-    state.pending.clear();
-    state.overflowed = false;
-    state.last_acked = inv_clock_;
-    res.new_timestamp = inv_clock_;
-    res.force_invalidate = true;
-    ++stats_.force_invalidations;
-    tr.Inv(trace::EventType::kInvForce, host, 0, 0, inv_clock_, 0,
-           ctx.caller.host);
-    co_return Serialize(res);
-  }
-
-  // Case 3: return (and clear) buffered invalidations, batched.
-  const std::size_t batch =
-      std::min<std::size_t>(state.buffer.size(), config_.getinv_batch);
-  res.handles.reserve(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    InvEntry entry = state.buffer.front();
-    state.buffer.pop_front();
-    state.pending.erase(entry.fh);
-    res.handles.push_back(entry.fh);
-    state.last_acked = entry.timestamp;
-  }
-  inv_entries_ -= batch;
-  if (state.buffer.empty()) {
-    state.last_acked = inv_clock_;
-  } else {
-    res.poll_again = true;
-  }
-  res.new_timestamp = state.last_acked;
-  tr.Inv(trace::EventType::kInvPoll, host, 0, 0, res.new_timestamp,
-         static_cast<std::uint32_t>(res.handles.size()), ctx.caller.host);
+  const GetInvRes res =
+      inv_log_.Serve(ctx.caller, parsed ? parsed->last_timestamp : 0);
+  if (res.force_invalidate) ++stats_.force_invalidations;
   co_return Serialize(res);
 }
 
 // ---------------------------------------------------------------------------
 // Adaptive policy migrations
 // ---------------------------------------------------------------------------
-
-std::uint32_t ProxyServer::DrainInvEntries(const Fh& fh, net::Address client) {
-  auto it = inv_clients_.find(client);
-  if (it == inv_clients_.end()) return 0;
-  InvClient& state = it->second;
-  std::uint32_t drained = 0;
-  for (auto entry = state.buffer.begin(); entry != state.buffer.end();) {
-    if (entry->fh == fh) {
-      // The MIGRATE reply delivers this entry, exactly like a GETINV batch
-      // would have: trace it as an applied per-handle invalidation so the
-      // version-continuity invariant sees the buffer emptied.
-      node_.tracer().Inv(trace::EventType::kInvPoll, node_.address().host,
-                         fh.fsid, fh.ino, entry->timestamp, 1, client.host);
-      entry = state.buffer.erase(entry);
-      state.pending.erase(fh);
-      --inv_entries_;
-      ++drained;
-    } else {
-      ++entry;
-    }
-  }
-  stats_.inv_drained += drained;
-  return drained;
-}
 
 sim::Task<Bytes> ProxyServer::HandleMigrate(rpc::CallContext ctx, rpc::Body args) {
   co_await WaitGrace();
@@ -483,27 +379,20 @@ sim::Task<Bytes> ProxyServer::HandleMigrate(rpc::CallContext ctx, rpc::Body args
     if (sharer != fit->second.sharers.end() &&
         sharer->second.granted != DelegationType::kNone) {
       RecordHoldTime(sharer->second);
-      node_.tracer().Deleg(trace::EventType::kDelegRelease,
-                           node_.address().host, fh.fsid, fh.ino,
-                           static_cast<std::uint32_t>(sharer->second.granted),
-                           ctx.caller.host, trace::kDelegFlagServerSide, 0);
+      TraceDeleg(trace::EventType::kDelegRelease, fh, sharer->second.granted,
+                 ctx.caller.host);
       sharer->second.granted = DelegationType::kNone;
       sharer->second.granted_at = 0;
     }
   }
 
-  // Drain-before-switch: every invalidation buffered for this caller+file is
-  // delivered inside the MIGRATE reply, so no mutation recorded under the
+  // Drain-before-switch: the invalidation the caller is owed for this file
+  // is delivered inside the MIGRATE reply, so no mutation recorded under the
   // old mode becomes invisible under the new one (FaultHooks::skip_drain
   // breaks exactly this, for the trace checker's negative tests).
   if (!faults_.skip_drain) {
-    res.drained = DrainInvEntries(fh, ctx.caller);
-    auto cit = inv_clients_.find(ctx.caller);
-    if (cit != inv_clients_.end() && cit->second.overflowed) {
-      // A wrapped buffer may already have dropped entries for this very
-      // file; force the caller to treat its cached attributes as stale.
-      res.drained = std::max<std::uint32_t>(res.drained, 1);
-    }
+    res.drained = inv_log_.Drain(fh, ctx.caller);
+    stats_.inv_drained += res.drained;
   }
 
   files_[fh].mode = to;
@@ -522,6 +411,17 @@ sim::Task<Bytes> ProxyServer::HandleMigrate(rpc::CallContext ctx, rpc::Body args
 // Delegations (§4.3)
 // ---------------------------------------------------------------------------
 
+void ProxyServer::TraceDeleg(trace::EventType type, const Fh& fh,
+                             DelegationType deleg, HostId peer,
+                             std::optional<std::uint64_t> wanted) const {
+  node_.tracer().Deleg(
+      type, node_.address().host, fh.fsid, fh.ino,
+      static_cast<std::uint32_t>(deleg), peer,
+      trace::kDelegFlagServerSide |
+          (wanted.has_value() ? trace::kDelegFlagHasWanted : 0),
+      wanted.value_or(0));
+}
+
 void ProxyServer::RecordHoldTime(const Sharer& sharer) {
   if (deleg_hold_hist_ == nullptr || sharer.granted_at == 0) return;
   const SimTime held = sched_.Now() - sharer.granted_at;
@@ -537,10 +437,8 @@ void ProxyServer::ExpireSharers(const Fh& fh, FileState& state) {
       // period is shorter than the expiry, so a live client would have
       // refreshed it.
       if (it->second.granted != DelegationType::kNone) {
-        node_.tracer().Deleg(
-            trace::EventType::kDelegExpiry, node_.address().host, fh.fsid,
-            fh.ino, static_cast<std::uint32_t>(it->second.granted),
-            it->first.host, trace::kDelegFlagServerSide, 0);
+        TraceDeleg(trace::EventType::kDelegExpiry, fh, it->second.granted,
+                   it->first.host);
         RecordHoldTime(it->second);
       }
       it = state.sharers.erase(it);
@@ -625,12 +523,7 @@ sim::Task<void> ProxyServer::RecallOne(Fh fh, net::Address addr,
   } else {
     ++stats_.recalls_read;
   }
-  node_.tracer().Deleg(
-      trace::EventType::kDelegRecall, node_.address().host, fh.fsid, fh.ino,
-      static_cast<std::uint32_t>(granted), addr.host,
-      trace::kDelegFlagServerSide |
-          (offset.has_value() ? trace::kDelegFlagHasWanted : 0),
-      offset.value_or(0));
+  TraceDeleg(trace::EventType::kDelegRecall, fh, granted, addr.host, offset);
   const SimTime recall_start = sched_.Now();
   ++recalls_in_flight_;
   CallbackRes res = co_await SendCallback(addr, fh, type, offset, parent);
@@ -649,9 +542,7 @@ sim::Task<void> ProxyServer::RecallOne(Fh fh, net::Address addr,
     RecordHoldTime(sharer->second);
     sharer->second.granted = DelegationType::kNone;
     sharer->second.granted_at = 0;
-    node_.tracer().Deleg(trace::EventType::kDelegRelease, node_.address().host,
-                         fh.fsid, fh.ino, static_cast<std::uint32_t>(granted),
-                         addr.host, trace::kDelegFlagServerSide, 0);
+    TraceDeleg(trace::EventType::kDelegRelease, fh, granted, addr.host);
   }
   if (!res.pending_offsets.empty()) {
     // Block-list optimization: the write delegation is considered revoked
@@ -682,12 +573,8 @@ sim::Task<void> ProxyServer::EnsureBlockWrittenBack(Fh fh, net::Address requeste
 
   // Requests to blocks not yet written back generate callbacks forcing the
   // owner to submit them promptly (§4.3.2).
-  node_.tracer().Deleg(trace::EventType::kDelegRecall, node_.address().host,
-                       fh.fsid, fh.ino,
-                       static_cast<std::uint32_t>(DelegationType::kWrite),
-                       it->second.writeback_owner.host,
-                       trace::kDelegFlagServerSide | trace::kDelegFlagHasWanted,
-                       block_offset);
+  TraceDeleg(trace::EventType::kDelegRecall, fh, DelegationType::kWrite,
+             it->second.writeback_owner.host, block_offset);
   ++recalls_in_flight_;
   co_await SendCallback(it->second.writeback_owner, fh, CallbackType::kRecallWrite,
                         block_offset, parent);
@@ -747,10 +634,7 @@ void ProxyServer::TouchSharer(const Fh& fh, net::Address client, bool write_op,
       (granted == DelegationType::kRead &&
        sharer.granted != DelegationType::kWrite)) {
     if (sharer.granted != granted) {
-      node_.tracer().Deleg(trace::EventType::kDelegGrant, node_.address().host,
-                           fh.fsid, fh.ino,
-                           static_cast<std::uint32_t>(granted), client.host,
-                           trace::kDelegFlagServerSide, 0);
+      TraceDeleg(trace::EventType::kDelegGrant, fh, granted, client.host);
     }
     if (sharer.granted == DelegationType::kNone) sharer.granted_at = sched_.Now();
     sharer.granted = granted;
@@ -768,9 +652,7 @@ sim::Task<void> ProxyServer::WaitGrace() {
 void ProxyServer::Crash() {
   node_.tracer().Node(trace::EventType::kNodeCrash, node_.address().host);
   node_.SetDown(true);
-  inv_clients_.clear();
-  inv_clock_ = 1;
-  inv_entries_ = 0;
+  inv_log_.Clear();
   files_.clear();
   // persistent_clients_ survives: it is stored on disk.
 }
@@ -819,10 +701,8 @@ sim::Task<void> ProxyServer::RecoverClient(net::Address client) {
     sharer.last_write = sched_.Now();
     if (sharer.granted == DelegationType::kNone) sharer.granted_at = sched_.Now();
     sharer.granted = DelegationType::kWrite;
-    node_.tracer().Deleg(trace::EventType::kDelegGrant, node_.address().host,
-                         fh.fsid, fh.ino,
-                         static_cast<std::uint32_t>(DelegationType::kWrite),
-                         client.host, trace::kDelegFlagServerSide, 0);
+    TraceDeleg(trace::EventType::kDelegGrant, fh, DelegationType::kWrite,
+               client.host);
   }
 }
 
@@ -841,18 +721,14 @@ void ProxyServer::AttachMetrics(metrics::Registry& registry,
   deleg_hold_hist_ = &registry.GetHistogram(prefix + "deleg_hold_time_us");
   recall_wb_hist_ = &registry.GetHistogram(prefix + "recall_writeback_us");
   registry.AddProbe(prefix + "inv_buffer_occupancy", [this] {
-    std::size_t occupancy = 0;
-    for (const auto& [client, state] : inv_clients_) {
-      occupancy = std::max(occupancy, state.buffer.size());
-    }
-    return static_cast<double>(occupancy);
+    return static_cast<double>(inv_log_.max_owed());
   });
   metrics::RegisterCounters(registry, prefix, stats_);
   registry.AddProbe(prefix + "inv_buffer_entries", [this] {
-    return static_cast<double>(inv_entries_);
+    return static_cast<double>(inv_log_.entries());
   });
   registry.AddProbe(prefix + "inv_buffer_clients", [this] {
-    return static_cast<double>(inv_clients_.size());
+    return static_cast<double>(inv_log_.clients());
   });
   registry.AddProbe(prefix + "recall_queue_depth", [this] {
     return static_cast<double>(recalls_in_flight_);
@@ -862,8 +738,7 @@ void ProxyServer::AttachMetrics(metrics::Registry& registry,
 JsonObject ProxyServer::SnapshotState() const {
   JsonObject snap;
   snap.Add("role", "proxy_server");
-  snap.Add("inv_clock", inv_clock_);
-  snap.Add("inv_entries", static_cast<std::uint64_t>(inv_entries_));
+  snap.Add("inv_log", inv_log_.Snapshot());
   snap.Add("in_grace", in_grace_);
   snap.Add("recalls_in_flight", recalls_in_flight_);
   snap.Add("known_clients", static_cast<std::uint64_t>(
@@ -871,34 +746,17 @@ JsonObject ProxyServer::SnapshotState() const {
 
   // Shard map (sharded sessions only).
   if (config_.shard_addrs.size() >= 2) {
-    JsonObject shards;
-    shards.Add("shard_index",
-               static_cast<std::uint64_t>(config_.shard_index));
-    std::string addrs = "[";
-    for (std::size_t i = 0; i < config_.shard_addrs.size(); ++i) {
-      if (i > 0) addrs += ',';
-      addrs += "{\"host\":" + std::to_string(config_.shard_addrs[i].host) +
-               ",\"port\":" + std::to_string(config_.shard_addrs[i].port) +
-               "}";
+    std::vector<JsonObject> addrs;
+    for (const net::Address& addr : config_.shard_addrs) {
+      addrs.push_back(JsonObject()
+                          .Add("host", static_cast<std::uint64_t>(addr.host))
+                          .Add("port", static_cast<std::uint64_t>(addr.port)));
     }
-    addrs += ']';
-    shards.AddRaw("shard_addrs", addrs);
+    JsonObject shards;
+    shards.Add("shard_index", static_cast<std::uint64_t>(config_.shard_index));
+    shards.Add("shard_addrs", addrs);
     snap.Add("shard_map", shards);
   }
-
-  // Per-client invalidation buffers.
-  std::vector<JsonObject> inv_clients;
-  for (const auto& [addr, state] : inv_clients_) {
-    JsonObject c;
-    c.Add("host", static_cast<std::uint64_t>(addr.host));
-    c.Add("port", static_cast<std::uint64_t>(addr.port));
-    c.Add("buffered", static_cast<std::uint64_t>(state.buffer.size()));
-    c.Add("pending", static_cast<std::uint64_t>(state.pending.size()));
-    c.Add("last_acked", state.last_acked);
-    c.Add("overflowed", state.overflowed);
-    inv_clients.push_back(c);
-  }
-  snap.Add("inv_buffers", inv_clients);
 
   // Active files only: anything holding a delegation, mid-recall, pending
   // write-back, or migrated out of polling mode. Quiet files are counted.

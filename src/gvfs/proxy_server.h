@@ -4,9 +4,10 @@
 // serves one GVFS session's proxy clients over the WAN. Responsibilities:
 //
 //  - Forward NFS requests upstream, observing every mutation.
-//  - Invalidation polling (§4.2): per-client circular invalidation buffers of
-//    logically timestamped handles, served via GETINV with bootstrap,
-//    wrap-around (force-invalidate) and batching (poll-again) handling.
+//  - Invalidation polling (§4.2): one log of logically timestamped handles
+//    with a cursor per client (gvfs/inv_log.h), served via GETINV with
+//    bootstrap, overflow (force-invalidate) and batching (poll-again)
+//    handling.
 //  - Delegation/callback (§4.3): speculates opens from read/write traffic,
 //    grants per-file read/write delegations (piggybacked on replies), recalls
 //    them with server-to-client CALLBACK RPCs on conflicts, tracks write-back
@@ -19,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -27,6 +27,7 @@
 
 #include "common/json_writer.h"
 #include "gvfs/fault_hooks.h"
+#include "gvfs/inv_log.h"
 #include "gvfs/proto.h"
 #include "gvfs/session.h"
 #include "metrics/registry.h"
@@ -45,12 +46,15 @@ namespace gvfs::proxy {
 
 // Counter table (metrics/registry.h): each row is a ProxyServerStats member
 // and the probe `<prefix><name>` AttachMetrics registers.
-//  - inv_wraps: invalidation-buffer wrap-arounds (oldest entry evicted; the
-//    affected client is forced to whole-cache invalidate on its next poll);
+//  - invalidations_recorded: invalidations owed to a client (one per client
+//    an InvLog append reaches; coalesced and broken clients are skipped);
+//  - inv_wraps: clients whose invalidation stream broke on overflow, once
+//    per break (the client owes nothing more and is forced to whole-cache
+//    invalidate on its next poll);
 //  - notifyinv_sent / notifyinv_received: sharded fleets' cross-shard
 //    invalidation notifications (NOTIFYINV) to owning / from peer shards;
-//  - inv_entries_peak: high-water mark of total buffered invalidation
-//    entries across all clients (the per-shard blow-up fig_scale measures);
+//  - inv_entries_peak: high-water mark of the entries the invalidation log
+//    stores (each mutation once, while some client owes it);
 //  - migrations_served / inv_drained: adaptive sessions' MIGRATE handshakes
 //    completed for files this shard owns, and the buffered invalidations
 //    delivered inside their replies.
@@ -84,10 +88,7 @@ class ProxyServer {
   const SessionConfig& config() const { return config_; }
   const ProxyServerStats& stats() const { return stats_; }
 
-  /// Number of clients the session has seen (persistent list).
-  std::size_t KnownClients() const { return persistent_clients_.size(); }
-
-  /// Crash simulation: drops all soft state (invalidation buffers,
+  /// Crash simulation: drops all soft state (invalidation log and cursors,
   /// timestamps, open-file table) and takes the node down. The persistent
   /// client list survives (it lives on "disk").
   void Crash();
@@ -100,7 +101,7 @@ class ProxyServer {
   bool InGrace() const { return in_grace_; }
 
   /// Registers this proxy's live telemetry under `prefix` (counters above,
-  /// invalidation-buffer occupancy, delegation hold-time and recall
+  /// invalidation-log occupancy, delegation hold-time and recall
   /// write-back latency histograms) and attaches the session staleness
   /// probe: every successful mutation stamps the touched files' new version
   /// with the RPC's receipt time. `probe` may be null.
@@ -108,25 +109,12 @@ class ProxyServer {
                      metrics::StalenessProbe* probe);
 
   /// Protocol-state snapshot for the flight recorder (obs/recorder.h):
-  /// delegation grants, invalidation-buffer occupancy, per-file consistency
+  /// delegation grants, invalidation-log cursors, per-file consistency
   /// modes and the shard map. Quiet files (no grants, no recalls, polling
   /// mode) are summarized as a count rather than serialized.
   JsonObject SnapshotState() const;
 
  private:
-  struct InvEntry {
-    std::uint64_t timestamp;
-    nfs3::Fh fh;
-  };
-
-  /// Per-client invalidation buffer (circular queue, §4.2.1).
-  struct InvClient {
-    std::deque<InvEntry> buffer;
-    std::set<nfs3::Fh> pending;  // coalescing: one entry per file
-    std::uint64_t last_acked = 0;
-    bool overflowed = false;
-  };
-
   struct Sharer {
     SimTime last_access = 0;
     SimTime last_write = 0;  // 0 = never wrote
@@ -166,11 +154,6 @@ class ProxyServer {
   sim::Task<Bytes> HandleNotifyInv(rpc::CallContext ctx, rpc::Body args);
   /// Adaptive sessions: per-file mode switch (drain-before-switch handshake).
   sim::Task<Bytes> HandleMigrate(rpc::CallContext ctx, rpc::Body args);
-
-  /// Removes every buffered invalidation entry for (`fh`, `client`) and
-  /// returns how many were delivered this way (traced as kInvPoll — the
-  /// MIGRATE reply is an invalidation delivery path).
-  std::uint32_t DrainInvEntries(const nfs3::Fh& fh, net::Address client);
 
   static OpInfo Classify(std::uint32_t proc, ByteView args);
 
@@ -217,6 +200,11 @@ class ProxyServer {
                                       std::optional<std::uint64_t> wanted,
                                       trace::SpanRef parent = {});
 
+  /// Server-side delegation trace event for `fh` toward `peer`; `wanted` is
+  /// the block a recall asks the holder to write back first.
+  void TraceDeleg(trace::EventType type, const nfs3::Fh& fh,
+                  DelegationType deleg, HostId peer,
+                  std::optional<std::uint64_t> wanted = std::nullopt) const;
   /// Records a delegation's hold time when it ends (recall or expiry).
   void RecordHoldTime(const Sharer& sharer);
 
@@ -229,10 +217,7 @@ class ProxyServer {
   FaultHooks faults_;  // all off unless a test injected faults
 
   // Soft state (lost on crash).
-  std::map<net::Address, InvClient> inv_clients_;
-  // Logical mutation clock. Starts at 1: timestamp 0 is reserved as the
-  // null/bootstrap timestamp clients send when they have no state (§4.2.2).
-  std::uint64_t inv_clock_ = 1;
+  InvLog inv_log_;
   std::map<nfs3::Fh, FileState> files_;
 
   // Persistent state ("on disk"): survives Crash().
@@ -242,9 +227,6 @@ class ProxyServer {
   sim::Condition grace_over_;
 
   ProxyServerStats stats_;
-  /// Total buffered invalidation entries across all client buffers
-  /// (incremented on append, decremented on serve/wrap/clear).
-  std::size_t inv_entries_ = 0;
   /// Recall CALLBACKs currently in flight (recall queue depth gauge).
   int recalls_in_flight_ = 0;
   metrics::StalenessProbe* staleness_ = nullptr;

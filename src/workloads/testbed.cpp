@@ -230,10 +230,16 @@ void Testbed::BuildSession(FleetSession& session, const FleetConfig& config,
     aggregators_.push_back(std::make_unique<fleet::InvAggregator>(
         sched_, agg_node, std::move(agg_config), faults_.get()));
     session.aggregator = aggregators_.back().get();
+    fleet::InvAggregator* aggregator = session.aggregator;
     if (metrics_registry_ != nullptr) {
-      session.aggregator->AttachMetrics(*metrics_registry_, tag + ".agg.");
+      aggregator->AttachMetrics(*metrics_registry_, tag + ".agg.");
     }
-    session.aggregator->Start();
+    if (watchdog_ != nullptr) {
+      recorder_->AddStateProvider(tag + ".agg", [aggregator] {
+        return aggregator->SnapshotState().Dump();
+      });
+    }
+    aggregator->Start();
   }
 
   for (std::size_t i = 0; i < clients.size(); ++i) {

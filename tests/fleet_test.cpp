@@ -6,6 +6,7 @@
 // catches a lost or duplicated invalidation crossing the tier.
 #include <gtest/gtest.h>
 
+#include "common/json_value.h"
 #include "fleet/inv_aggregator.h"
 #include "fleet/shard_router.h"
 #include "test_util.h"
@@ -225,7 +226,9 @@ TEST_F(FleetTest, OverflowForcesWholeCacheInvalidationDirect) {
   DirtyFiles(writer, 12);  // 12 distinct handles >> capacity 4
   (void)RunTask(bed_.sched(), Advance(Seconds(25)));
 
-  EXPECT_GT(session.shard(0).stats().inv_wraps, 0u);
+  // Each of the 9 non-writer clients overflows once: its stream breaks and
+  // it gets no further appends until its forced poll, as in the tier.
+  EXPECT_EQ(session.shard(0).stats().inv_wraps, 9u);
   EXPECT_GT(session.shard(0).stats().force_invalidations, 0u);
   std::uint64_t client_forces = 0;
   for (std::size_t i = 0; i < session.proxies.size(); ++i) {
@@ -255,6 +258,38 @@ TEST_F(FleetTest, OverflowEscalatesThroughTier) {
     client_forces += session.proxy(i).stats().force_invalidations;
   }
   EXPECT_GT(client_forces, 0u);
+}
+
+TEST_F(FleetTest, DumpShowsBrokenTierStreams) {
+  bed_.EnableDiagnosis();
+  FleetConfig config = MakeConfig(1, /*aggregate=*/true);
+  config.aggregator.inv_buffer_capacity = 4;
+  config.aggregator.poll_period = Seconds(7);  // off the clients' 10 s phase
+  auto& session =
+      bed_.CreateFleetSession(config, AddClients(6), /*active_mounts=*/1);
+
+  (void)RunTask(bed_.sched(), Advance(Seconds(15)));
+  DirtyFiles(session.mount(0), 12);
+
+  // The tier's next ingest overflows every downstream stream, and each stays
+  // broken until that client's own next poll: a dump taken in between must
+  // show it in the tier's state.
+  std::size_t broken = 0;
+  for (int step = 0; step < 60 && broken == 0; ++step) {
+    (void)RunTask(bed_.sched(), Advance(Milliseconds(500)));
+    JsonParser parser;
+    const JsonValue dump = parser.Parse(bed_.recorder()->Render("fleet test"));
+    ASSERT_TRUE(parser.ok()) << parser.error();
+    const JsonValue& tier = dump["state"]["f0.agg"];
+    ASSERT_EQ(tier["role"].AsString(), "inv_aggregator");
+    const JsonValue& cursors = tier["inv_log"]["cursors"];
+    ASSERT_EQ(cursors.size(), 6u);
+    for (std::size_t i = 0; i < cursors.size(); ++i) {
+      if (cursors[i]["broken"].AsBool()) ++broken;
+    }
+  }
+  EXPECT_GT(broken, 0u);
+  EXPECT_GT(session.aggregator->stats().inv_wraps, 0u);
 }
 
 TEST_F(FleetTest, UpstreamForceEscalatesThroughTier) {

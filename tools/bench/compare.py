@@ -100,81 +100,6 @@ def compare_core(baseline, candidate, base_path, cand_path, tolerance, wall_mode
     return failures, warnings
 
 
-def compare_flush(baseline, candidate):
-    """Exact comparison of the deterministic virtual-time document."""
-    failures = []
-    if baseline == candidate:
-        print("flush: virtual-time results identical to baseline")
-        return failures
-    for key in sorted(set(baseline) | set(candidate)):
-        b, c = baseline.get(key), candidate.get(key)
-        if b != c:
-            failures.append(f"flush.{key}: baseline {b!r} != candidate {c!r}")
-    return failures
-
-
-def compare_scale(baseline, candidate, base_path, cand_path):
-    """Exact subset comparison of the deterministic fleet-sweep rows."""
-    failures = []
-
-    def key(row):
-        return (row["clients"], row["shards"], row["mode"])
-
-    base_rows = {key(r): r for r in require(baseline, "points", base_path)}
-    cand_points = require(candidate, "points", cand_path)
-    if not cand_points:
-        return ["scale: candidate has no sweep points"]
-    for row in cand_points:
-        k = key(row)
-        tag = f"scale[clients={k[0]},shards={k[1]},{k[2]}]"
-        base = base_rows.get(k)
-        if base is None:
-            failures.append(
-                f"{tag}: not in baseline (regenerate BENCH_scale.json)"
-            )
-            continue
-        for field in sorted(set(base) | set(row)):
-            if base.get(field) != row.get(field):
-                failures.append(
-                    f"{tag}.{field}: baseline {base.get(field)!r} "
-                    f"!= candidate {row.get(field)!r}"
-                )
-    if not failures:
-        print(
-            f"scale: {len(cand_points)} virtual-time sweep row(s) match "
-            "baseline exactly"
-        )
-    return failures
-
-
-def compare_adapt(baseline, candidate, base_path, cand_path):
-    """Exact subset comparison of the deterministic fig_adapt rows."""
-    failures = []
-    base_rows = {r["mode"]: r for r in require(baseline, "points", base_path)}
-    cand_points = require(candidate, "points", cand_path)
-    if not cand_points:
-        return ["adapt: candidate has no points"]
-    for row in cand_points:
-        mode = row.get("mode")
-        tag = f"adapt[{mode}]"
-        base = base_rows.get(mode)
-        if base is None:
-            failures.append(f"{tag}: not in baseline (regenerate BENCH_adapt.json)")
-            continue
-        for field in sorted(set(base) | set(row)):
-            if base.get(field) != row.get(field):
-                failures.append(
-                    f"{tag}.{field}: baseline {base.get(field)!r} "
-                    f"!= candidate {row.get(field)!r}"
-                )
-    if not failures:
-        print(
-            f"adapt: {len(cand_points)} virtual-time row(s) match baseline "
-            "exactly"
-        )
-    return failures
-
-
 def diff_paths(base, cand, path):
     """(path, baseline, candidate) for every value at which two JSON
     documents differ, depth first; paths read like fig4_make.setups[1].wan_s."""
@@ -191,14 +116,77 @@ def diff_paths(base, cand, path):
     return [] if base == cand else [(path, base, cand)]
 
 
+def mismatches(base, cand, path):
+    """One failure line per differing value, named by its path."""
+    return [
+        f"{p}: baseline {b!r} != candidate {c!r}"
+        for p, b, c in diff_paths(base, cand, path)
+    ]
+
+
+def compare_flush(baseline, candidate):
+    """Exact comparison of the deterministic virtual-time document."""
+    failures = mismatches(baseline, candidate, "flush")
+    if not failures:
+        print("flush: virtual-time results identical to baseline")
+    return failures
+
+
+def compare_rows(kind, baseline, candidate, base_path, cand_path, keys, tag):
+    """Exact subset comparison of virtual-time rows keyed by the `keys`
+    fields: every candidate row must exist in the baseline and match it at
+    every path."""
+
+    def key(row, path):
+        return tuple(require(row, k, path) for k in keys)
+
+    base_rows = {
+        key(r, base_path): r for r in require(baseline, "points", base_path)
+    }
+    cand_points = require(candidate, "points", cand_path)
+    if not cand_points:
+        return [f"{kind}: candidate has no points"]
+    failures = []
+    for row in cand_points:
+        base = base_rows.get(key(row, cand_path))
+        if base is None:
+            failures.append(
+                f"{tag(row)}: not in baseline (regenerate BENCH_{kind}.json)"
+            )
+            continue
+        failures += mismatches(base, row, tag(row))
+    if not failures:
+        print(
+            f"{kind}: {len(cand_points)} virtual-time row(s) match baseline "
+            "exactly"
+        )
+    return failures
+
+
+def compare_scale(baseline, candidate, base_path, cand_path):
+    """Exact subset comparison of the deterministic fleet-sweep rows."""
+    return compare_rows(
+        "scale", baseline, candidate, base_path, cand_path,
+        keys=("clients", "shards", "mode"),
+        tag=lambda r: f"scale[clients={r['clients']},shards={r['shards']},"
+        f"{r['mode']}]",
+    )
+
+
+def compare_adapt(baseline, candidate, base_path, cand_path):
+    """Exact subset comparison of the deterministic fig_adapt rows."""
+    return compare_rows(
+        "adapt", baseline, candidate, base_path, cand_path,
+        keys=("mode",),
+        tag=lambda r: f"adapt[{r['mode']}]",
+    )
+
+
 def compare_paper(baseline, candidate, base_path, cand_path):
     """Exact comparison of the paper figures' virtual-time documents."""
     base_figs = require(baseline, "figures", base_path)
     cand_figs = require(candidate, "figures", cand_path)
-    failures = [
-        f"paper.{path}: baseline {b!r} != candidate {c!r}"
-        for path, b, c in diff_paths(base_figs, cand_figs, "figures")
-    ]
+    failures = mismatches(base_figs, cand_figs, "paper.figures")
     if not failures:
         print(f"paper: {len(base_figs)} figure document(s) match baseline exactly")
     return failures

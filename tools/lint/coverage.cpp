@@ -11,13 +11,18 @@
 //                        into "UNKNOWN".
 //   inv-coverage         every proc the NFS protocol defines as mutating is
 //                        classified mutating, and the mutating path appends
-//                        to the invalidation buffers (RecordInvalidation ->
-//                        push_back). The fleet aggregation tier is held to
-//                        the same bar: Ingest() must fan handles out and
-//                        Fanout() must append downstream.
-//   trace-coverage       the append is traced (kInvAppend; kAggIngest /
-//                        kAggFanout in the aggregation tier), and every
-//                        trace::EventType has an EventTypeName entry.
+//                        to the invalidation log (RecordInvalidation ->
+//                        InvLog::Append -> push_back). The fleet aggregation
+//                        tier is held to the same bar: Ingest() must append
+//                        to its log too.
+//   trace-coverage       the append is traced per client (kInvAppend /
+//                        kAggFanout in InvLog::Append, kAggIngest in the
+//                        aggregation tier), and every trace::EventType has an
+//                        EventTypeName entry.
+//   migrate-coverage     HandleMigrate() recalls conflicts and drains the
+//                        caller's owed invalidation (InvLog::Drain, which
+//                        releases the entry and traces kInvPoll); the client
+//                        flushes and drops its delegation before a MIGRATE.
 //   anomaly-coverage     every obs::AnomalyKind is registered in kDetectors,
 //                        named by AnomalyKindName, and given a remedy by the
 //                        doctor's VerdictFor — detectors stay actionable
@@ -407,7 +412,7 @@ void CheckInvCoverage(const Tree& tree, std::vector<Finding>& out) {
     // The mutating path itself: HandleNfs must reach RecordInvalidation —
     // directly, or through PropagateInvalidation (the sharded form, which
     // records locally or forwards to the owning shard with NOTIFYINV) — and
-    // RecordInvalidation must actually append.
+    // RecordInvalidation must append to the invalidation log.
     Span handle = FunctionBody(server->lex, "HandleNfs");
     if (handle.ok()) {
       if (!SpanContains(handle, "RecordInvalidation") &&
@@ -415,21 +420,21 @@ void CheckInvCoverage(const Tree& tree, std::vector<Finding>& out) {
         Add(out, "inv-coverage", *server, handle.line,
             "HandleNfs() never calls RecordInvalidation or "
             "PropagateInvalidation; mutating procs leave no "
-            "invalidation-buffer entries");
+            "invalidation-log entries");
       }
     }
     Span propagate = FunctionBody(server->lex, "PropagateInvalidation");
     if (propagate.ok() && !SpanContains(propagate, "RecordInvalidation")) {
       Add(out, "inv-coverage", *server, propagate.line,
           "PropagateInvalidation() never calls RecordInvalidation; "
-          "owned-shard mutations leave no invalidation-buffer entries");
+          "owned-shard mutations leave no invalidation-log entries");
     }
     Span record = FunctionBody(server->lex, "RecordInvalidation");
     if (record.ok()) {
-      if (!SpanContains(record, "push_back")) {
+      if (!SpanContains(record, "Append")) {
         Add(out, "inv-coverage", *server, record.line,
-            "RecordInvalidation() never appends to a client invalidation "
-            "buffer; polling clients stop seeing peer writes");
+            "RecordInvalidation() never calls InvLog::Append(); polling "
+            "clients stop seeing peer writes");
       }
     } else {
       Add(out, "inv-coverage", *server, 1,
@@ -439,28 +444,31 @@ void CheckInvCoverage(const Tree& tree, std::vector<Finding>& out) {
   }
 
   // The aggregation tier re-publishes upstream invalidations to the clients
-  // it fronts: Ingest() must fan every handle out and Fanout() must actually
-  // append to the downstream buffer — otherwise clients behind the tier
-  // silently stop seeing peer writes while the direct path still works.
+  // it fronts through its own log: Ingest() must append every handle —
+  // otherwise clients behind the tier silently stop seeing peer writes while
+  // the direct path still works.
   const FileUnit* agg = FindUnit(tree, "src/fleet/inv_aggregator.cpp");
-  if (agg == nullptr) return;
-  Span ingest = FunctionBody(agg->lex, "Ingest");
-  if (ingest.ok() && !SpanContains(ingest, "Fanout")) {
-    Add(out, "inv-coverage", *agg, ingest.line,
-        "Ingest() never calls Fanout(); upstream invalidations are dropped "
-        "at the aggregation tier");
-  }
-  Span fanout = FunctionBody(agg->lex, "Fanout");
-  if (fanout.ok()) {
-    if (!SpanContains(fanout, "push_back")) {
-      Add(out, "inv-coverage", *agg, fanout.line,
-          "Fanout() never appends to a downstream invalidation buffer; "
-          "clients behind the aggregation tier stop seeing peer writes");
+  if (agg != nullptr) {
+    Span ingest = FunctionBody(agg->lex, "Ingest");
+    if (ingest.ok() && !SpanContains(ingest, "Append")) {
+      Add(out, "inv-coverage", *agg, ingest.line,
+          "Ingest() never calls InvLog::Append(); upstream invalidations "
+          "are dropped at the aggregation tier");
     }
-  } else {
-    Add(out, "inv-coverage", *agg, 1,
-        "Fanout() definition not found; the aggregation tier has no "
-        "downstream producer");
+  }
+
+  // The log both nodes append to must actually store the entry.
+  const FileUnit* log = FindUnit(tree, "src/gvfs/inv_log.cpp");
+  if (log == nullptr) return;
+  Span append = FunctionBody(log->lex, "Append");
+  if (!append.ok()) {
+    Add(out, "inv-coverage", *log, 1,
+        "InvLog::Append() definition not found; the invalidation log has "
+        "no producer");
+  } else if (!SpanContains(append, "push_back")) {
+    Add(out, "inv-coverage", *log, append.line,
+        "InvLog::Append() never stores the entry; clients of the proxy "
+        "server and of the aggregation tier stop seeing peer writes");
   }
 }
 
@@ -480,10 +488,10 @@ void CheckMigrateCoverage(const Tree& tree, std::vector<Finding>& out) {
   if (server != nullptr) {
     Span migrate = FunctionBody(server->lex, "HandleMigrate");
     if (migrate.ok()) {
-      if (!SpanContains(migrate, "DrainInvEntries")) {
+      if (!SpanContains(migrate, "Drain")) {
         Add(out, "migrate-coverage", *server, migrate.line,
-            "HandleMigrate() never calls DrainInvEntries(); a mutation "
-            "buffered before the mode switch becomes invisible after it");
+            "HandleMigrate() never calls InvLog::Drain(); a mutation "
+            "logged before the mode switch becomes invisible after it");
       }
       if (!SpanContains(migrate, "RecallConflicts")) {
         Add(out, "migrate-coverage", *server, migrate.line,
@@ -491,21 +499,24 @@ void CheckMigrateCoverage(const Tree& tree, std::vector<Finding>& out) {
             "switch modes under a live conflicting delegation");
       }
     }
-    Span drain = FunctionBody(server->lex, "DrainInvEntries");
+  }
+  const FileUnit* log = FindUnit(tree, "src/gvfs/inv_log.cpp");
+  if (log != nullptr) {
+    Span drain = FunctionBody(log->lex, "Drain");
     if (drain.ok()) {
-      if (!SpanContains(drain, "erase")) {
-        Add(out, "migrate-coverage", *server, drain.line,
-            "DrainInvEntries() never erases buffer entries; drained "
+      if (!SpanContains(drain, "Release")) {
+        Add(out, "migrate-coverage", *log, drain.line,
+            "InvLog::Drain() never releases the drained entry; drained "
             "invalidations would be delivered twice");
       }
       if (!SpanContains(drain, "kInvPoll")) {
-        Add(out, "migrate-coverage", *server, drain.line,
-            "DrainInvEntries() does not trace its deliveries as kInvPoll; "
+        Add(out, "migrate-coverage", *log, drain.line,
+            "InvLog::Drain() does not trace its deliveries as kInvPoll; "
             "TraceChecker invariant 6 cannot credit the drain");
       }
-    } else if (migrate.ok()) {
-      Add(out, "migrate-coverage", *server, migrate.line,
-          "DrainInvEntries() definition not found; the MIGRATE handshake "
+    } else {
+      Add(out, "migrate-coverage", *log, 1,
+          "InvLog::Drain() definition not found; the MIGRATE handshake "
           "has no drain step");
     }
   }
@@ -533,29 +544,27 @@ void CheckMigrateCoverage(const Tree& tree, std::vector<Finding>& out) {
 // ---------------------------------------------------------------------------
 
 void CheckTraceCoverage(const Tree& tree, std::vector<Finding>& out) {
-  // The invalidation append must be observable in traces: the TraceChecker's
-  // invariants (and the staleness analysis) are blind to unrecorded appends.
-  const FileUnit* server = FindUnit(tree, "src/gvfs/proxy_server.cpp");
-  if (server != nullptr) {
-    Span record = FunctionBody(server->lex, "RecordInvalidation");
-    if (record.ok() && !SpanContains(record, "kInvAppend")) {
-      Add(out, "trace-coverage", *server, record.line,
-          "RecordInvalidation() does not emit a kInvAppend trace event; the "
-          "TraceChecker cannot see these appends");
+  // The invalidation append must be observable in traces, once per client
+  // it reaches: the TraceChecker's invariants (and the staleness analysis)
+  // are blind to unrecorded appends, and its kAggTier invariant (no
+  // invalidation lost or duplicated crossing the tier) matches the tier's
+  // fan-outs against its ingests.
+  const FileUnit* log = FindUnit(tree, "src/gvfs/inv_log.cpp");
+  if (log != nullptr) {
+    Span append = FunctionBody(log->lex, "Append");
+    if (append.ok() && !SpanContains(append, "kInvAppend")) {
+      Add(out, "trace-coverage", *log, append.line,
+          "InvLog::Append() does not emit a kInvAppend trace event; the "
+          "TraceChecker cannot see proxy-server appends");
+    }
+    if (append.ok() && !SpanContains(append, "kAggFanout")) {
+      Add(out, "trace-coverage", *log, append.line,
+          "InvLog::Append() does not emit a kAggFanout trace event; the "
+          "kAggTier invariant cannot see tier fan-outs");
     }
   }
-
-  // Same discipline for the aggregation tier: fan-outs and ingests must be
-  // traced, or the checker's kAggTier invariant (no invalidation lost or
-  // duplicated crossing the tier) has nothing to match against.
   const FileUnit* agg = FindUnit(tree, "src/fleet/inv_aggregator.cpp");
   if (agg != nullptr) {
-    Span fanout = FunctionBody(agg->lex, "Fanout");
-    if (fanout.ok() && !SpanContains(fanout, "kAggFanout")) {
-      Add(out, "trace-coverage", *agg, fanout.line,
-          "Fanout() does not emit a kAggFanout trace event; the kAggTier "
-          "invariant cannot see tier fan-outs");
-    }
     Span ingest = FunctionBody(agg->lex, "Ingest");
     if (ingest.ok() && !SpanContains(ingest, "kAggIngest")) {
       Add(out, "trace-coverage", *agg, ingest.line,

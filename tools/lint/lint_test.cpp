@@ -281,9 +281,15 @@ TEST_F(CoverageTest, OkTreeIsClean) {
 }
 
 TEST_F(CoverageTest, MissingInvalidationAppendIsCaught) {
-  // The seeded regression from the issue: RecordInvalidation still exists
-  // and still traces, but the buffer append was deleted.
+  // RecordInvalidation still exists but no longer appends to the log.
   const auto findings = LintVariant("missing_append");
+  EXPECT_GE(CountRule(findings, "inv-coverage"), 1) << FormatText(findings);
+}
+
+TEST_F(CoverageTest, MissingLogStoreIsCaught) {
+  // InvLog::Append still traces every client it reaches but stores nothing:
+  // both the proxy server's and the tier's clients lose peer writes.
+  const auto findings = LintVariant("missing_log_store");
   EXPECT_GE(CountRule(findings, "inv-coverage"), 1) << FormatText(findings);
 }
 
@@ -314,23 +320,24 @@ TEST_F(CoverageTest, UntracedAppendIsCaught) {
 }
 
 TEST_F(CoverageTest, MissingAggregatorAppendIsCaught) {
-  // The tier-level twin of missing_append: Fanout() still traces but no
-  // longer appends to the downstream buffer.
+  // The tier-level twin of missing_append: Ingest() still stamps its marker
+  // but no longer appends to the tier's log.
   const auto findings = LintVariant("missing_agg_append");
   EXPECT_GE(CountRule(findings, "inv-coverage"), 1) << FormatText(findings);
 }
 
 TEST_F(CoverageTest, UntracedAggregatorFanoutIsCaught) {
-  // Appends are intact but kAggIngest/kAggFanout are gone: one trace-coverage
-  // finding per untraced hop across the tier.
+  // Appends are intact but kAggIngest (Ingest) and kAggFanout
+  // (InvLog::Append) are gone: one trace-coverage finding per untraced hop
+  // across the tier.
   const auto findings = LintVariant("missing_agg_trace");
   EXPECT_GE(CountRule(findings, "trace-coverage"), 2) << FormatText(findings);
 }
 
 TEST_F(CoverageTest, MissingMigrateDrainIsCaught) {
-  // HandleMigrate() still recalls conflicts but skipped the buffered-
-  // invalidation drain: the exact bug TraceChecker invariant 6 observes at
-  // runtime, caught here at lint time.
+  // HandleMigrate() still recalls conflicts but skipped the InvLog drain:
+  // the exact bug TraceChecker invariant 6 observes at runtime, caught here
+  // at lint time.
   const auto findings = LintVariant("missing_drain");
   EXPECT_GE(CountRule(findings, "migrate-coverage"), 1)
       << FormatText(findings);

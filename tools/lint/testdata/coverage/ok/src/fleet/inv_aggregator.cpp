@@ -1,10 +1,8 @@
 // Coverage fixture: a structurally faithful skeleton of the aggregation
-// tier's re-publish path — Ingest() fans every upstream handle out to the
-// downstream buffers, Fanout() performs the traced append. The cross-file
+// tier's re-publish path — Ingest() appends every upstream handle to the
+// tier's invalidation log, then stamps the ingest marker. The cross-file
 // rules anchor on exactly these shapes.
 #include <cstdint>
-#include <map>
-#include <vector>
 
 namespace gvfs::fleet {
 
@@ -12,18 +10,12 @@ struct Fh {
   std::uint64_t ino = 0;
 };
 
-struct Entry {
-  std::uint64_t timestamp = 0;
-  Fh fh;
-};
-
-struct Downstream {
-  std::vector<Entry> buffer;
-  bool overflowed = false;
+struct InvLog {
+  void Append(const Fh& fh);
 };
 
 struct Tracer {
-  void Inv(int type, int client, const Fh& fh);
+  void Inv(int type, int shard, const Fh& fh);
 };
 
 class InvAggregator {
@@ -31,26 +23,13 @@ class InvAggregator {
   void Ingest(const Fh& fh, int shard);
 
  private:
-  bool Fanout(int client, Downstream& state, const Fh& fh);
-
-  std::map<int, Downstream> clients_;
-  std::uint64_t agg_clock_ = 0;
+  InvLog inv_log_;
   Tracer tracer_;
 };
 
 void InvAggregator::Ingest(const Fh& fh, int shard) {
-  ++agg_clock_;
-  for (auto& [client, state] : clients_) {
-    if (state.overflowed) continue;
-    Fanout(client, state, fh);
-  }
+  inv_log_.Append(fh);
   tracer_.Inv(trace::kAggIngest, shard, fh);
-}
-
-bool InvAggregator::Fanout(int client, Downstream& state, const Fh& fh) {
-  state.buffer.push_back(Entry{agg_clock_, fh});
-  tracer_.Inv(trace::kAggFanout, client, fh);
-  return true;
 }
 
 }  // namespace gvfs::fleet

@@ -1,9 +1,7 @@
-// Seeded violation: the aggregation tier still traces its fan-out, but the
-// downstream buffer append was deleted — clients behind the tier silently
-// stop seeing peer writes while the direct path keeps working.
+// Seeded violation: the aggregation tier still stamps its ingest marker, but
+// the append to its invalidation log was deleted — clients behind the tier
+// silently stop seeing peer writes while the direct path keeps working.
 #include <cstdint>
-#include <map>
-#include <vector>
 
 namespace gvfs::fleet {
 
@@ -11,18 +9,12 @@ struct Fh {
   std::uint64_t ino = 0;
 };
 
-struct Entry {
-  std::uint64_t timestamp = 0;
-  Fh fh;
-};
-
-struct Downstream {
-  std::vector<Entry> buffer;
-  bool overflowed = false;
+struct InvLog {
+  void Append(const Fh& fh);
 };
 
 struct Tracer {
-  void Inv(int type, int client, const Fh& fh);
+  void Inv(int type, int shard, const Fh& fh);
 };
 
 class InvAggregator {
@@ -30,25 +22,12 @@ class InvAggregator {
   void Ingest(const Fh& fh, int shard);
 
  private:
-  bool Fanout(int client, Downstream& state, const Fh& fh);
-
-  std::map<int, Downstream> clients_;
-  std::uint64_t agg_clock_ = 0;
+  InvLog inv_log_;
   Tracer tracer_;
 };
 
 void InvAggregator::Ingest(const Fh& fh, int shard) {
-  ++agg_clock_;
-  for (auto& [client, state] : clients_) {
-    if (state.overflowed) continue;
-    Fanout(client, state, fh);
-  }
   tracer_.Inv(trace::kAggIngest, shard, fh);
-}
-
-bool InvAggregator::Fanout(int client, Downstream& state, const Fh& fh) {
-  tracer_.Inv(trace::kAggFanout, client, fh);
-  return true;
 }
 
 }  // namespace gvfs::fleet

@@ -2,8 +2,6 @@
 // kAggIngest / kAggFanout events — the TraceChecker's kAggTier invariant is
 // blind to the tier, so a lost or duplicated invalidation goes unnoticed.
 #include <cstdint>
-#include <map>
-#include <vector>
 
 namespace gvfs::fleet {
 
@@ -11,14 +9,12 @@ struct Fh {
   std::uint64_t ino = 0;
 };
 
-struct Entry {
-  std::uint64_t timestamp = 0;
-  Fh fh;
+struct InvLog {
+  void Append(const Fh& fh);
 };
 
-struct Downstream {
-  std::vector<Entry> buffer;
-  bool overflowed = false;
+struct Tracer {
+  void Inv(int type, int shard, const Fh& fh);
 };
 
 class InvAggregator {
@@ -26,23 +22,12 @@ class InvAggregator {
   void Ingest(const Fh& fh, int shard);
 
  private:
-  bool Fanout(int client, Downstream& state, const Fh& fh);
-
-  std::map<int, Downstream> clients_;
-  std::uint64_t agg_clock_ = 0;
+  InvLog inv_log_;
+  Tracer tracer_;
 };
 
 void InvAggregator::Ingest(const Fh& fh, int shard) {
-  ++agg_clock_;
-  for (auto& [client, state] : clients_) {
-    if (state.overflowed) continue;
-    Fanout(client, state, fh);
-  }
-}
-
-bool InvAggregator::Fanout(int client, Downstream& state, const Fh& fh) {
-  state.buffer.push_back(Entry{agg_clock_, fh});
-  return true;
+  inv_log_.Append(fh);
 }
 
 }  // namespace gvfs::fleet

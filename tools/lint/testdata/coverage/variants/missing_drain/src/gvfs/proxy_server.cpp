@@ -1,5 +1,5 @@
 // Seeded violation: HandleMigrate() recalls conflicting delegations but no
-// longer drains the caller's buffered invalidations before the mode switch.
+// longer drains the caller's owed invalidation before the mode switch.
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -10,11 +10,6 @@ namespace gvfs {
 
 struct Fh {
   std::uint64_t ino = 0;
-};
-
-struct InvEntry {
-  std::uint64_t seq = 0;
-  Fh fh;
 };
 
 struct Request {
@@ -28,12 +23,9 @@ struct ProcInfo {
   bool dir_op = false;
 };
 
-struct Tracer {
-  void Inv(int type, int client, const Fh& fh);
-};
-
-struct ClientState {
-  std::vector<InvEntry> buffer;
+struct InvLog {
+  void Append(const Fh& fh, int writer);
+  std::uint32_t Drain(const Fh& fh, int client);
 };
 
 constexpr int kProcs[] = {
@@ -53,12 +45,9 @@ class ProxyServer {
   void Forward(Request& req);
   void HandleGetInv(Request& req);
   void HandleMigrate(Request& req);
-  std::uint64_t DrainInvEntries(int client, const Fh& fh);
   void RecallConflicts(int client, const Fh& fh);
 
-  std::map<int, ClientState> sessions_;
-  std::uint64_t inv_clock_ = 0;
-  Tracer tracer_;
+  InvLog inv_log_;
 };
 
 void ProxyServer::Start() {
@@ -91,32 +80,15 @@ void ProxyServer::HandleNfs(Request& req) {
   Forward(req);
 }
 
+// The migrate-coverage rule anchors on this drain-before-switch chain:
+// recall conflicting delegations, deliver the caller's owed invalidation
+// for the file, and only then switch the mode.
 void ProxyServer::HandleMigrate(Request& req) {
   RecallConflicts(req.client, req.fh);
 }
 
-std::uint64_t ProxyServer::DrainInvEntries(int client, const Fh& fh) {
-  auto& buffer = sessions_[client].buffer;
-  std::uint64_t drained = 0;
-  for (auto it = buffer.begin(); it != buffer.end();) {
-    if (it->fh.ino == fh.ino) {
-      tracer_.Inv(trace::kInvPoll, client, it->fh);
-      it = buffer.erase(it);
-      ++drained;
-    } else {
-      ++it;
-    }
-  }
-  return drained;
-}
-
 void ProxyServer::RecordInvalidation(int client, const Fh& fh) {
-  for (auto& [id, state] : sessions_) {
-    if (id == client) continue;
-    state.buffer.push_back(InvEntry{inv_clock_, fh});
-    tracer_.Inv(trace::kInvAppend, id, fh);
-  }
-  ++inv_clock_;
+  inv_log_.Append(fh, client);
 }
 
 }  // namespace gvfs

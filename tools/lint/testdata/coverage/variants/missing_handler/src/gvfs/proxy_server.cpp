@@ -12,11 +12,6 @@ struct Fh {
   std::uint64_t ino = 0;
 };
 
-struct InvEntry {
-  std::uint64_t seq = 0;
-  Fh fh;
-};
-
 struct Request {
   int client = 0;
   int proc = 0;
@@ -28,12 +23,9 @@ struct ProcInfo {
   bool dir_op = false;
 };
 
-struct Tracer {
-  void Inv(int type, int client, const Fh& fh);
-};
-
-struct ClientState {
-  std::vector<InvEntry> buffer;
+struct InvLog {
+  void Append(const Fh& fh, int writer);
+  std::uint32_t Drain(const Fh& fh, int client);
 };
 
 constexpr int kProcs[] = {
@@ -51,14 +43,15 @@ class ProxyServer {
   void RecordInvalidation(int client, const Fh& fh);
   void Forward(Request& req);
   void HandleGetInv(Request& req);
+  void HandleMigrate(Request& req);
+  void RecallConflicts(int client, const Fh& fh);
 
-  std::map<int, ClientState> sessions_;
-  std::uint64_t inv_clock_ = 0;
-  Tracer tracer_;
+  InvLog inv_log_;
 };
 
 void ProxyServer::Start() {
   RegisterHandler(kGetInv, HandleGetInv);
+  RegisterHandler(kMigrate, HandleMigrate);
 }
 
 ProcInfo ProxyServer::Classify(int proc) {
@@ -86,13 +79,16 @@ void ProxyServer::HandleNfs(Request& req) {
   Forward(req);
 }
 
+// The migrate-coverage rule anchors on this drain-before-switch chain:
+// recall conflicting delegations, deliver the caller's owed invalidation
+// for the file, and only then switch the mode.
+void ProxyServer::HandleMigrate(Request& req) {
+  RecallConflicts(req.client, req.fh);
+  inv_log_.Drain(req.fh, req.client);
+}
+
 void ProxyServer::RecordInvalidation(int client, const Fh& fh) {
-  for (auto& [id, state] : sessions_) {
-    if (id == client) continue;
-    state.buffer.push_back(InvEntry{inv_clock_, fh});
-    tracer_.Inv(trace::kInvAppend, id, fh);
-  }
-  ++inv_clock_;
+  inv_log_.Append(fh, client);
 }
 
 }  // namespace gvfs
