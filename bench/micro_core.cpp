@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the stack:
 // XDR encoding/decoding, disk-cache operations, the simulation scheduler,
-// and a full simulated NFS GETATTR round trip.
+// a policy window, and a full simulated NFS GETATTR round trip.
 #include <benchmark/benchmark.h>
 
 #include "gvfs/disk_cache.h"
@@ -8,6 +8,7 @@
 #include "net/network.h"
 #include "nfs3/client.h"
 #include "nfs3/server.h"
+#include "policy/policy.h"
 #include "rpc/rpc.h"
 #include "sim/scheduler.h"
 #include "sim/sync.h"
@@ -106,6 +107,32 @@ void BM_MemFsCreateWrite(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemFsCreateWrite);
+
+/// One policy window on an engine holding range(0) settled files (read
+/// delegations, no traffic), 16 of which are read once per window. The cost
+/// should not grow with the settled files.
+void BM_PolicyTick(benchmark::State& state) {
+  const auto settled = static_cast<std::uint64_t>(state.range(0));
+  policy::PolicyEngine engine;
+  SimTime now = 0;
+  // Two hot windows promote every file; a quiet third settles them all.
+  for (int window = 0; window < 3; ++window) {
+    for (std::uint64_t ino = 1; window < 2 && ino <= settled; ++ino) {
+      for (int r = 0; r < 4; ++r) engine.OnRead({1, ino});
+    }
+    now += Seconds(5);
+    for (const policy::Migration& m : engine.Tick(now)) {
+      engine.Commit(m.file, m.to, now);
+    }
+  }
+  std::uint64_t next = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 16; ++i) engine.OnRead({1, 1 + next++ % settled});
+    now += Seconds(5);
+    benchmark::DoNotOptimize(engine.Tick(now));
+  }
+}
+BENCHMARK(BM_PolicyTick)->Arg(100)->Arg(100'000);
 
 /// One full simulated GETATTR round trip: client node -> WAN -> NFS server
 /// and back, including XDR, RPC framing, and event scheduling.

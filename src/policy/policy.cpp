@@ -1,5 +1,7 @@
 #include "policy/policy.h"
 
+#include <algorithm>
+
 namespace gvfs::policy {
 
 namespace {
@@ -40,16 +42,25 @@ const char* AccessClassName(AccessClass cls) {
 
 PolicyEngine::PolicyEngine(PolicyConfig config) : config_(config) {}
 
-void PolicyEngine::OnRead(const FileId& file) { ++files_[file].reads; }
+PolicyEngine::PolicyState& PolicyEngine::Touch(const FileId& file) {
+  const FileMap::iterator it = files_.try_emplace(file).first;
+  if (!it->second.active) {
+    it->second.active = true;
+    active_.push_back(it);
+  }
+  return it->second;
+}
 
-void PolicyEngine::OnWrite(const FileId& file) { ++files_[file].writes; }
+void PolicyEngine::OnRead(const FileId& file) { ++Touch(file).reads; }
+
+void PolicyEngine::OnWrite(const FileId& file) { ++Touch(file).writes; }
 
 void PolicyEngine::OnInvalidation(const FileId& file) {
-  ++files_[file].remote_invs;
+  ++Touch(file).remote_invs;
 }
 
 void PolicyEngine::OnRecall(const FileId& file) {
-  ++files_[file].recalls;
+  ++Touch(file).recalls;
   ++recalls_;
 }
 
@@ -106,8 +117,17 @@ std::vector<Migration> PolicyEngine::Tick(SimTime now) {
   }
   frozen_now_ = now < frozen_until_;
 
+  // Only active files can move: a settled one would classify idle and hold
+  // its mode. Sorting keeps the migrations in FileId order.
+  std::sort(active_.begin(), active_.end(),
+            [](FileMap::iterator a, FileMap::iterator b) {
+              return a->first < b->first;
+            });
   std::vector<Migration> out;
-  for (auto& [file, s] : files_) {
+  std::size_t unsettled = 0;
+  for (const FileMap::iterator it : active_) {
+    const FileId& file = it->first;
+    PolicyState& s = it->second;
     const AccessClass cls = Classify(s);
     const FileMode target = TargetFor(s, cls);
     ++stats_.decisions;
@@ -132,7 +152,15 @@ std::vector<Migration> PolicyEngine::Tick(SimTime now) {
     s.prev_target = target;
     s.has_prev_target = true;
     s.reads = s.writes = s.remote_invs = s.recalls = 0;
+    if (target != s.mode) {
+      active_[unsettled++] = it;
+    } else if (s.mode == FileMode::kPolling && dwell_over) {
+      files_.erase(it);  // now the same as a file never seen
+    } else {
+      s.active = false;
+    }
   }
+  active_.resize(unsettled);
   return out;
 }
 
@@ -143,6 +171,8 @@ void PolicyEngine::Commit(const FileId& file, FileMode to, SimTime now) {
   } else if (to != s.mode) {
     ++stats_.demotions;
   }
+  if (s.mode == FileMode::kPolling && to != FileMode::kPolling) ++delegated_;
+  if (s.mode != FileMode::kPolling && to == FileMode::kPolling) --delegated_;
   s.mode = to;
   s.prev_target = to;
   s.migrated_at = now;
@@ -157,14 +187,8 @@ FileMode PolicyEngine::ModeOf(const FileId& file) const {
 void PolicyEngine::AttachMetrics(metrics::Registry& registry,
                                  const std::string& prefix) {
   metrics::RegisterCounters(registry, prefix + "policy_", stats_);
-  registry.AddProbe(prefix + "policy_files_delegated", [this] {
-    double n = 0;
-    for (const auto& [file, s] : files_) {
-      (void)file;
-      if (s.mode != FileMode::kPolling) ++n;
-    }
-    return n;
-  });
+  registry.AddProbe(prefix + "policy_files_delegated",
+                    [this] { return static_cast<double>(delegated_); });
   registry.AddProbe(prefix + "policy_frozen",
                     [this] { return frozen_now_ ? 1.0 : 0.0; });
 }

@@ -1,10 +1,18 @@
-// Adaptive consistency policy engine (ROADMAP item 3): makes the paper's
+// Adaptive consistency policy engine: makes the paper's
 // "application-tailored" consistency self-tuning. A session starts every
 // file under invalidation polling; this engine watches the per-file access
 // pattern the proxy client observes (reads, writes, remote invalidations,
-// delegation recalls), classifies each file once per policy window, and
-// decides when a file should migrate between invalidation polling, a read
-// delegation, and a write delegation at runtime.
+// delegation recalls), classifies each active file once per policy window,
+// and decides when a file should migrate between invalidation polling, a
+// read delegation, and a write delegation at runtime.
+//
+// A window's work and the engine's state grow with active files only. A
+// file is active when it was touched in the window or is unsettled: its
+// target still differs from its mode (hysteresis or dwell pending, a frozen
+// promotion, a failed MIGRATE). A settled file has empty counters and a
+// target equal to its mode, so classifying it again would only hold that
+// mode, and Tick skips it. A settled polling file whose dwell is over is
+// forgotten, since its state is then that of a file never seen.
 //
 // The engine is a pure decision component: it never talks to the network.
 // The proxy client feeds it observations (OnRead/OnWrite/OnInvalidation/
@@ -76,7 +84,7 @@ const char* AccessClassName(AccessClass cls);
 
 // Counter table (metrics/registry.h): each row is a PolicyStats member and
 // the probe `<prefix>policy_<name>` AttachMetrics registers. decisions counts
-// per-file classifications (one per tracked file per Tick);
+// per-file classifications (one per active file per Tick);
 // promotions_frozen, promotions the storm breaker held back; storm_freezes,
 // times the breaker tripped.
 #define GVFS_POLICY_STATS(X)            \
@@ -118,6 +126,10 @@ struct Migration {
 class PolicyEngine {
  public:
   explicit PolicyEngine(PolicyConfig config = {});
+  // active_ holds iterators into files_, and the AttachMetrics probes capture
+  // `this`, so an engine is never copied or moved.
+  PolicyEngine(const PolicyEngine&) = delete;
+  PolicyEngine& operator=(const PolicyEngine&) = delete;
 
   /// Observation hooks, called by the proxy client on its own request path.
   void OnRead(const FileId& file);
@@ -127,16 +139,16 @@ class PolicyEngine {
   /// A delegation on the file was recalled out from under this client.
   void OnRecall(const FileId& file);
 
-  /// Closes the current policy window: classifies every tracked file,
-  /// updates the storm breaker, and returns the migrations that cleared
-  /// hysteresis + dwell. The caller performs each MIGRATE handshake and
-  /// calls Commit() per file that actually switched.
+  /// Closes the current policy window: updates the storm breaker,
+  /// classifies every active file in FileId order, and returns the
+  /// migrations that cleared hysteresis + dwell. The caller performs each
+  /// MIGRATE handshake and calls Commit() per file that actually switched.
   std::vector<Migration> Tick(SimTime now);
 
   /// Confirms that `file` now runs under `to` (the handshake succeeded).
   void Commit(const FileId& file, FileMode to, SimTime now);
 
-  /// Current mode of a file (kPolling when never tracked).
+  /// Current mode of a file (kPolling when the engine holds no state).
   FileMode ModeOf(const FileId& file) const;
 
   /// Classification of the access counters accumulated so far in the open
@@ -158,9 +170,10 @@ class PolicyEngine {
   std::uint64_t promotions_frozen() const { return stats_.promotions_frozen; }
   std::uint64_t storm_freezes() const { return stats_.storm_freezes; }
 
-  /// Per-file FSM snapshot for the flight recorder (obs/recorder.h): every
-  /// tracked file's mode, hysteresis target, dwell anchor and open-window
-  /// counters, plus the breaker state.
+  /// Per-file FSM snapshot for the flight recorder (obs/recorder.h): the
+  /// mode, hysteresis target, dwell anchor and open-window counters of every
+  /// file that still holds state (delegated, touched, unsettled or within
+  /// its dwell), plus the breaker state.
   JsonObject SnapshotState() const;
 
  private:
@@ -172,18 +185,28 @@ class PolicyEngine {
     bool has_prev_target = false;
     SimTime migrated_at = 0;
     bool ever_migrated = false;
-    // Open-window access counters, reset every Tick.
+    /// In active_: the next Tick visits the file.
+    bool active = false;
+    // Open-window access counters, reset when Tick visits the file.
     std::uint32_t reads = 0;
     std::uint32_t writes = 0;
     std::uint32_t remote_invs = 0;
     std::uint32_t recalls = 0;
   };
 
+  using FileMap = std::map<FileId, PolicyState>;
+
+  /// The file's state, queued for the next Tick.
+  PolicyState& Touch(const FileId& file);
   AccessClass Classify(const PolicyState& s) const;
   /// Desired mode for a classification; kIdle holds the current mode.
   FileMode TargetFor(const PolicyState& s, AccessClass cls) const;
   PolicyConfig config_;
-  std::map<FileId, PolicyState> files_;
+  FileMap files_;
+  /// The files the next Tick visits, each once (PolicyState::active).
+  std::vector<FileMap::iterator> active_;
+  /// Files not in polling mode (the policy_files_delegated probe).
+  std::uint64_t delegated_ = 0;
 
   SimTime frozen_until_ = 0;
   bool frozen_now_ = false;

@@ -1,7 +1,9 @@
 // Adaptive consistency engine tests (src/policy + the MIGRATE handshake in
 // src/gvfs). The unit half exercises the FSM in isolation: promotion needs
 // two agreeing windows, demotion under contention, the dwell pin, and the
-// recall-storm breaker (promotions freeze, demotions keep running). The
+// recall-storm breaker (promotions freeze, demotions keep running). It also
+// shows that a tick's work ignores idle files, and checks the engine against
+// a copy of the full-walk engine it replaced over seeded schedules. The
 // integration half runs adaptive sessions on the testbed — single-server and
 // sharded fleet — and checks that migrations actually happen, route through
 // the owning shard, and leave a TraceChecker-clean history, and that
@@ -10,9 +12,15 @@
 // drain step is skipped.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "common/json_value.h"
+#include "common/rng.h"
 #include "policy/policy.h"
 #include "test_util.h"
 #include "trace_oracle.h"
@@ -186,6 +194,388 @@ TEST(PolicyEngine, RecallStormFreezesPromotionsNotDemotions) {
   EXPECT_EQ(migrations[0].file, hungry);
   EXPECT_EQ(migrations[0].to, FileMode::kReadDelegation);
   EXPECT_FALSE(engine.frozen());
+}
+
+// ---------------------------------------------------------------------------
+// A tick's cost ignores idle files
+// ---------------------------------------------------------------------------
+
+/// Fh strings of the files SnapshotState lists.
+std::vector<std::string> SnapshotFiles(const PolicyEngine& engine) {
+  const JsonValue snap = JsonParser().Parse(engine.SnapshotState().Dump());
+  std::vector<std::string> out;
+  for (const JsonValue& f : snap["files"].array()) {
+    out.push_back(f["fh"].AsString());
+  }
+  return out;
+}
+
+/// What two ticks did after `idle` files were each touched once and settled:
+/// the decisions each added, the migrations of the second (the three hot
+/// files clear hysteresis) and the snapshot's files once those committed.
+struct HotTicks {
+  std::vector<std::uint64_t> decisions;
+  std::vector<policy::Migration> migrations;
+  std::vector<std::string> files;
+};
+
+HotTicks TouchThreeAfterIdle(std::uint64_t idle) {
+  PolicyEngine engine(UnitConfig());
+  for (std::uint64_t ino = 1; ino <= idle; ++ino) engine.OnRead({1, ino});
+  EXPECT_TRUE(engine.Tick(Seconds(5)).empty());
+  EXPECT_EQ(engine.decisions(), idle);
+  EXPECT_TRUE(SnapshotFiles(engine).empty()) << "settled files hold state";
+
+  const std::vector<FileId> hot{{2, 9}, {1, 42}, {1, 7}};
+  HotTicks out;
+  for (int window = 2; window <= 3; ++window) {
+    const std::uint64_t before = engine.decisions();
+    for (const FileId& file : hot) HotReads(engine, file);
+    out.migrations = engine.Tick(Seconds(5 * window));
+    out.decisions.push_back(engine.decisions() - before);
+  }
+  for (const policy::Migration& m : out.migrations) {
+    engine.Commit(m.file, m.to, Seconds(15));
+  }
+  out.files = SnapshotFiles(engine);
+  return out;
+}
+
+TEST(PolicyEngine, TickCostIgnoresIdleFiles) {
+  const HotTicks few = TouchThreeAfterIdle(100);
+  const HotTicks many = TouchThreeAfterIdle(100'000);
+
+  const std::vector<std::uint64_t> three_each{3, 3};
+  EXPECT_EQ(few.decisions, three_each);
+  EXPECT_EQ(many.decisions, three_each);
+
+  ASSERT_EQ(few.migrations.size(), 3u);
+  ASSERT_EQ(many.migrations.size(), 3u);
+  const std::vector<FileId> order{{1, 7}, {1, 42}, {2, 9}};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(few.migrations[i].file, order[i]);
+    EXPECT_EQ(few.migrations[i].to, FileMode::kReadDelegation);
+    EXPECT_EQ(many.migrations[i].file, few.migrations[i].file);
+    EXPECT_EQ(many.migrations[i].from, few.migrations[i].from);
+    EXPECT_EQ(many.migrations[i].to, few.migrations[i].to);
+  }
+
+  // Only the delegated files still hold state.
+  const std::vector<std::string> delegated{"1:7", "1:42", "2:9"};
+  EXPECT_EQ(few.files, delegated);
+  EXPECT_EQ(many.files, delegated);
+}
+
+// ---------------------------------------------------------------------------
+// Differential check: the engine against the full-walk engine it replaced,
+// kept here as a reference. The reference classifies every file it has ever
+// seen in every window; the engine visits only touched or unsettled files and
+// forgets settled polling files. Every decision must match.
+// ---------------------------------------------------------------------------
+
+class FullWalkEngine {
+ public:
+  explicit FullWalkEngine(policy::PolicyConfig config) : config_(config) {}
+
+  void OnRead(const FileId& file) { ++files_[file].reads; }
+  void OnWrite(const FileId& file) { ++files_[file].writes; }
+  void OnInvalidation(const FileId& file) { ++files_[file].remote_invs; }
+  void OnRecall(const FileId& file) {
+    ++files_[file].recalls;
+    ++recalls_;
+  }
+
+  std::vector<policy::Migration> Tick(SimTime now) {
+    const std::uint64_t delta = recalls_ - recalls_at_tick_;
+    recalls_at_tick_ = recalls_;
+    if (delta >= config_.storm_recalls) {
+      frozen_until_ = now + config_.storm_freeze;
+      ++storm_freezes;
+    }
+    frozen_ = now < frozen_until_;
+
+    std::vector<policy::Migration> out;
+    for (auto& [file, s] : files_) {
+      const FileMode target = TargetFor(s, Classify(s));
+      const bool agreed = s.has_prev_target && s.prev_target == target;
+      const bool dwell_over =
+          !s.ever_migrated || now - s.migrated_at >= config_.dwell;
+      if (target != s.mode && agreed && dwell_over) {
+        if (frozen_ && target > s.mode) {
+          ++promotions_frozen;
+        } else {
+          out.push_back(policy::Migration{file, s.mode, target});
+        }
+      }
+      s.prev_target = target;
+      s.has_prev_target = true;
+      s.reads = s.writes = s.remote_invs = s.recalls = 0;
+    }
+    return out;
+  }
+
+  void Commit(const FileId& file, FileMode to, SimTime now) {
+    State& s = files_[file];
+    if (to > s.mode) {
+      ++promotions;
+    } else if (to != s.mode) {
+      ++demotions;
+    }
+    s.mode = to;
+    s.prev_target = to;
+    s.migrated_at = now;
+    s.ever_migrated = true;
+  }
+
+  FileMode ModeOf(const FileId& file) const {
+    auto it = files_.find(file);
+    return it == files_.end() ? FileMode::kPolling : it->second.mode;
+  }
+
+  AccessClass ClassifyOpenWindow(const FileId& file) const {
+    auto it = files_.find(file);
+    return it == files_.end() ? AccessClass::kIdle : Classify(it->second);
+  }
+
+  bool frozen() const { return frozen_; }
+  std::size_t tracked() const { return files_.size(); }
+
+  std::uint64_t promotions = 0;
+  std::uint64_t demotions = 0;
+  std::uint64_t promotions_frozen = 0;
+  std::uint64_t storm_freezes = 0;
+
+ private:
+  struct State {
+    FileMode mode = FileMode::kPolling;
+    FileMode prev_target = FileMode::kPolling;
+    bool has_prev_target = false;
+    SimTime migrated_at = 0;
+    bool ever_migrated = false;
+    std::uint32_t reads = 0;
+    std::uint32_t writes = 0;
+    std::uint32_t remote_invs = 0;
+    std::uint32_t recalls = 0;
+  };
+
+  AccessClass Classify(const State& s) const {
+    if (s.writes > 0 && (s.remote_invs > 0 || s.recalls > 0)) {
+      return AccessClass::kContended;
+    }
+    if (s.writes >= config_.write_hot && s.writes > s.reads) {
+      return AccessClass::kWriteHot;
+    }
+    if (s.writes > 0) return AccessClass::kSingleWriter;
+    if (s.reads >= config_.promote_reads) return AccessClass::kReadShared;
+    if (s.recalls > 0) return AccessClass::kContended;
+    return AccessClass::kIdle;
+  }
+
+  FileMode TargetFor(const State& s, AccessClass cls) const {
+    switch (cls) {
+      case AccessClass::kIdle:
+        return s.mode;
+      case AccessClass::kReadShared:
+        return FileMode::kReadDelegation;
+      case AccessClass::kSingleWriter:
+      case AccessClass::kWriteHot:
+        return config_.write_delegation ? FileMode::kWriteDelegation : s.mode;
+      case AccessClass::kContended:
+        return FileMode::kPolling;
+    }
+    return s.mode;
+  }
+
+  policy::PolicyConfig config_;
+  std::map<FileId, State> files_;
+  SimTime frozen_until_ = 0;
+  bool frozen_ = false;
+  std::uint64_t recalls_ = 0;
+  std::uint64_t recalls_at_tick_ = 0;
+};
+
+std::string Describe(const std::vector<policy::Migration>& migrations) {
+  std::string out = "[";
+  for (const policy::Migration& m : migrations) {
+    out += " " + std::to_string(m.file.fsid) + ":" +
+           std::to_string(m.file.ino) + " " + policy::FileModeName(m.from) +
+           "->" + policy::FileModeName(m.to);
+  }
+  return out + " ]";
+}
+
+struct PolicyTally {
+  std::uint64_t ticks = 0;
+  std::uint64_t migrations = 0;
+  std::uint64_t failed_migrates = 0;
+  std::uint64_t promotions_frozen = 0;
+  std::uint64_t storm_freezes = 0;
+  std::uint64_t visits = 0;       // the engine's decisions
+  std::uint64_t full_walks = 0;   // the reference's, one per tracked file
+  std::uint64_t forgotten = 0;    // tracked by the reference, not the engine
+};
+
+/// Runs one seeded schedule on both engines in lockstep; returns false at
+/// the first mismatch (reported through gtest).
+bool RunPolicySchedule(std::uint64_t seed, PolicyTally& tally) {
+  Rng rng(seed);
+  policy::PolicyConfig config;
+  config.dwell = Seconds(rng.Range(0, 12));
+  config.promote_reads = static_cast<std::uint32_t>(rng.Range(1, 5));
+  config.write_hot = static_cast<std::uint32_t>(rng.Range(1, 4));
+  config.storm_recalls = static_cast<std::uint32_t>(rng.Range(1, 6));
+  config.storm_freeze = Seconds(rng.Range(0, 30));
+  config.write_delegation = rng.Below(4) != 0;
+  std::vector<FileId> pool;
+  const auto files = static_cast<std::size_t>(rng.Range(1, 6));
+  while (pool.size() < files) {
+    const FileId file{1 + rng.Below(2), 1 + rng.Below(50)};
+    if (std::find(pool.begin(), pool.end(), file) == pool.end()) {
+      pool.push_back(file);
+    }
+  }
+  const std::string where =
+      "seed " + std::to_string(seed) + " files=" + std::to_string(files) +
+      " dwell=" + std::to_string(config.dwell / kSecond) +
+      "s freeze=" + std::to_string(config.storm_freeze / kSecond) + "s";
+
+  PolicyEngine engine(config);
+  FullWalkEngine ref(config);
+  metrics::Registry registry;
+  engine.AttachMetrics(registry, "p.");
+  const auto& delegated = registry.probes().at("p.policy_files_delegated");
+
+  // Every pool file must read the same, and the probe must count the files
+  // not in polling mode.
+  auto same_state = [&](const std::string& when) {
+    double not_polling = 0;
+    for (const FileId& file : pool) {
+      if (engine.ModeOf(file) != ref.ModeOf(file) ||
+          engine.ClassifyOpenWindow(file) != ref.ClassifyOpenWindow(file)) {
+        ADD_FAILURE() << where << " " << when << ": file " << file.fsid << ":"
+                      << file.ino << " mode "
+                      << policy::FileModeName(engine.ModeOf(file))
+                      << " class "
+                      << policy::AccessClassName(engine.ClassifyOpenWindow(file))
+                      << ", reference "
+                      << policy::FileModeName(ref.ModeOf(file)) << " "
+                      << policy::AccessClassName(ref.ClassifyOpenWindow(file));
+        return false;
+      }
+      if (ref.ModeOf(file) != FileMode::kPolling) ++not_polling;
+    }
+    const std::vector<std::uint64_t> got{
+        engine.promotions(), engine.demotions(), engine.promotions_frozen(),
+        engine.storm_freezes(), engine.frozen() ? 1u : 0u};
+    const std::vector<std::uint64_t> want{
+        ref.promotions, ref.demotions, ref.promotions_frozen,
+        ref.storm_freezes, ref.frozen() ? 1u : 0u};
+    if (got != want || delegated() != not_polling) {
+      ADD_FAILURE() << where << " " << when
+                    << ": promotions/demotions/frozen/freezes/frozen-now or "
+                       "the files_delegated probe ("
+                    << delegated() << " vs " << not_polling << ") differ";
+      return false;
+    }
+    return true;
+  };
+
+  SimTime now = 0;
+  for (int op = 0; op < 300; ++op) {
+    const std::string when = "op " + std::to_string(op);
+    if (rng.Below(100) < 75) {
+      const FileId& file = pool[rng.Below(pool.size())];
+      const std::uint64_t kind = rng.Below(10);
+      for (std::int64_t n = rng.Range(1, 5); n > 0; --n) {
+        if (kind < 4) {
+          engine.OnRead(file);
+          ref.OnRead(file);
+        } else if (kind < 7) {
+          engine.OnWrite(file);
+          ref.OnWrite(file);
+        } else if (kind < 9) {
+          engine.OnInvalidation(file);
+          ref.OnInvalidation(file);
+        } else {
+          engine.OnRecall(file);
+          ref.OnRecall(file);
+        }
+      }
+      if (engine.ClassifyOpenWindow(file) != ref.ClassifyOpenWindow(file)) {
+        ADD_FAILURE() << where << " " << when << ": open-window class differs";
+        return false;
+      }
+      continue;
+    }
+
+    // Ticks land just before, on and just after the dwell and freeze
+    // boundaries, or anywhere in between.
+    const Duration gaps[] = {config.dwell - 1,
+                             config.dwell,
+                             config.dwell + 1,
+                             config.storm_freeze - 1,
+                             config.storm_freeze,
+                             config.storm_freeze + 1,
+                             Seconds(1),
+                             Milliseconds(rng.Range(1, 15'000))};
+    now += std::max<Duration>(1, gaps[rng.Below(std::size(gaps))]);
+    const std::uint64_t visits = engine.decisions();
+    const auto got = engine.Tick(now);
+    const auto want = ref.Tick(now);
+    ++tally.ticks;
+    tally.visits += engine.decisions() - visits;
+    tally.full_walks += ref.tracked();
+    const bool same_list =
+        got.size() == want.size() &&
+        std::equal(got.begin(), got.end(), want.begin(),
+                   [](const policy::Migration& a, const policy::Migration& b) {
+                     return a.file == b.file && a.from == b.from &&
+                            a.to == b.to;
+                   });
+    if (!same_list) {
+      ADD_FAILURE() << where << " " << when << ": Tick(" << now
+                    << ") = " << Describe(got) << ", reference "
+                    << Describe(want);
+      return false;
+    }
+    if (!same_state(when + " after Tick")) return false;
+
+    // Each MIGRATE takes a round trip, and one in four fails (no Commit).
+    for (const policy::Migration& m : want) {
+      ++tally.migrations;
+      now += Milliseconds(static_cast<std::int64_t>(rng.Below(3)) * 40);
+      if (rng.Below(4) == 0) {
+        ++tally.failed_migrates;
+        continue;
+      }
+      engine.Commit(m.file, m.to, now);
+      ref.Commit(m.file, m.to, now);
+    }
+    if (!same_state(when + " after Commit")) return false;
+  }
+  tally.promotions_frozen += ref.promotions_frozen;
+  tally.storm_freezes += ref.storm_freezes;
+  const std::size_t kept = SnapshotFiles(engine).size();
+  EXPECT_LE(kept, ref.tracked()) << where;
+  tally.forgotten += ref.tracked() - kept;
+  return true;
+}
+
+TEST(PolicyEngineDifferential, MatchesFullWalkOnSeededSchedules) {
+  constexpr std::uint64_t kSchedules = 2500;
+  PolicyTally tally;
+  for (std::uint64_t seed = 1; seed <= kSchedules; ++seed) {
+    if (!RunPolicySchedule(seed, tally)) break;
+  }
+  // The schedules must reach every branch, not only the easy one.
+  EXPECT_GT(tally.ticks, 100'000u);
+  EXPECT_GT(tally.migrations, 10'000u);
+  EXPECT_GT(tally.failed_migrates, 2'000u);
+  EXPECT_GT(tally.promotions_frozen, 1'000u);
+  EXPECT_GT(tally.storm_freezes, 1'000u);
+  EXPECT_GT(tally.forgotten, 1'000u);
+  // And the engine must have skipped work.
+  EXPECT_LT(tally.visits, tally.full_walks);
 }
 
 // ---------------------------------------------------------------------------
