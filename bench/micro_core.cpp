@@ -108,9 +108,10 @@ void BM_MemFsCreateWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_MemFsCreateWrite);
 
-/// One policy window on an engine holding range(0) settled files (read
-/// delegations, no traffic), 16 of which are read once per window. The cost
-/// should not grow with the settled files.
+/// One policy window on an engine holding range(0) quiet read delegations,
+/// 16 of which are read once per window. Tick still visits every delegated
+/// file, so the cost grows with range(0); an idle polling file is forgotten
+/// and costs nothing (PolicyEngine.TickCostIgnoresIdleFiles).
 void BM_PolicyTick(benchmark::State& state) {
   const auto settled = static_cast<std::uint64_t>(state.range(0));
   policy::PolicyEngine engine;

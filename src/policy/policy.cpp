@@ -1,7 +1,5 @@
 #include "policy/policy.h"
 
-#include <algorithm>
-
 namespace gvfs::policy {
 
 namespace {
@@ -42,25 +40,16 @@ const char* AccessClassName(AccessClass cls) {
 
 PolicyEngine::PolicyEngine(PolicyConfig config) : config_(config) {}
 
-PolicyEngine::PolicyState& PolicyEngine::Touch(const FileId& file) {
-  const FileMap::iterator it = files_.try_emplace(file).first;
-  if (!it->second.active) {
-    it->second.active = true;
-    active_.push_back(it);
-  }
-  return it->second;
-}
+void PolicyEngine::OnRead(const FileId& file) { ++files_[file].reads; }
 
-void PolicyEngine::OnRead(const FileId& file) { ++Touch(file).reads; }
-
-void PolicyEngine::OnWrite(const FileId& file) { ++Touch(file).writes; }
+void PolicyEngine::OnWrite(const FileId& file) { ++files_[file].writes; }
 
 void PolicyEngine::OnInvalidation(const FileId& file) {
-  ++Touch(file).remote_invs;
+  ++files_[file].remote_invs;
 }
 
 void PolicyEngine::OnRecall(const FileId& file) {
-  ++Touch(file).recalls;
+  ++files_[file].recalls;
   ++recalls_;
 }
 
@@ -117,15 +106,8 @@ std::vector<Migration> PolicyEngine::Tick(SimTime now) {
   }
   frozen_now_ = now < frozen_until_;
 
-  // Only active files can move: a settled one would classify idle and hold
-  // its mode. Sorting keeps the migrations in FileId order.
-  std::sort(active_.begin(), active_.end(),
-            [](FileMap::iterator a, FileMap::iterator b) {
-              return a->first < b->first;
-            });
   std::vector<Migration> out;
-  std::size_t unsettled = 0;
-  for (const FileMap::iterator it : active_) {
+  for (auto it = files_.begin(); it != files_.end();) {
     const FileId& file = it->first;
     PolicyState& s = it->second;
     const AccessClass cls = Classify(s);
@@ -152,15 +134,14 @@ std::vector<Migration> PolicyEngine::Tick(SimTime now) {
     s.prev_target = target;
     s.has_prev_target = true;
     s.reads = s.writes = s.remote_invs = s.recalls = 0;
-    if (target != s.mode) {
-      active_[unsettled++] = it;
-    } else if (s.mode == FileMode::kPolling && dwell_over) {
-      files_.erase(it);  // now the same as a file never seen
+    // Settled in polling with no dwell left to enforce: the state is now that
+    // of a file never seen, which ModeOf already answers for.
+    if (target == s.mode && s.mode == FileMode::kPolling && dwell_over) {
+      it = files_.erase(it);
     } else {
-      s.active = false;
+      ++it;
     }
   }
-  active_.resize(unsettled);
   return out;
 }
 

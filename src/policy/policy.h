@@ -2,17 +2,17 @@
 // "application-tailored" consistency self-tuning. A session starts every
 // file under invalidation polling; this engine watches the per-file access
 // pattern the proxy client observes (reads, writes, remote invalidations,
-// delegation recalls), classifies each active file once per policy window,
-// and decides when a file should migrate between invalidation polling, a
-// read delegation, and a write delegation at runtime.
+// delegation recalls), classifies each file it holds state for once per
+// policy window, and decides when a file should migrate between invalidation
+// polling, a read delegation, and a write delegation at runtime.
 //
-// A window's work and the engine's state grow with active files only. A
-// file is active when it was touched in the window or is unsettled: its
-// target still differs from its mode (hysteresis or dwell pending, a frozen
-// promotion, a failed MIGRATE). A settled file has empty counters and a
-// target equal to its mode, so classifying it again would only hold that
-// mode, and Tick skips it. A settled polling file whose dwell is over is
-// forgotten, since its state is then that of a file never seen.
+// An idle polling file costs nothing per window. A file is settled when its
+// counters are empty and its target equals its mode. Once a file has settled
+// in polling mode and its dwell is over (or it never migrated), Tick forgets
+// it, since its state is then that of a file never seen. The engine thus
+// holds state only for files touched in the window, unsettled ones
+// (hysteresis or dwell pending, a frozen promotion, a failed MIGRATE),
+// delegated ones, and demoted ones inside their dwell.
 //
 // The engine is a pure decision component: it never talks to the network.
 // The proxy client feeds it observations (OnRead/OnWrite/OnInvalidation/
@@ -84,7 +84,7 @@ const char* AccessClassName(AccessClass cls);
 
 // Counter table (metrics/registry.h): each row is a PolicyStats member and
 // the probe `<prefix>policy_<name>` AttachMetrics registers. decisions counts
-// per-file classifications (one per active file per Tick);
+// per-file classifications (one per file held, per Tick);
 // promotions_frozen, promotions the storm breaker held back; storm_freezes,
 // times the breaker tripped.
 #define GVFS_POLICY_STATS(X)            \
@@ -126,10 +126,6 @@ struct Migration {
 class PolicyEngine {
  public:
   explicit PolicyEngine(PolicyConfig config = {});
-  // active_ holds iterators into files_, and the AttachMetrics probes capture
-  // `this`, so an engine is never copied or moved.
-  PolicyEngine(const PolicyEngine&) = delete;
-  PolicyEngine& operator=(const PolicyEngine&) = delete;
 
   /// Observation hooks, called by the proxy client on its own request path.
   void OnRead(const FileId& file);
@@ -140,9 +136,10 @@ class PolicyEngine {
   void OnRecall(const FileId& file);
 
   /// Closes the current policy window: updates the storm breaker,
-  /// classifies every active file in FileId order, and returns the
-  /// migrations that cleared hysteresis + dwell. The caller performs each
-  /// MIGRATE handshake and calls Commit() per file that actually switched.
+  /// classifies every file held in FileId order, forgets the ones settled
+  /// in polling mode past their dwell, and returns the migrations that
+  /// cleared hysteresis + dwell. The caller performs each MIGRATE handshake
+  /// and calls Commit() per file that actually switched.
   std::vector<Migration> Tick(SimTime now);
 
   /// Confirms that `file` now runs under `to` (the handshake succeeded).
@@ -185,26 +182,18 @@ class PolicyEngine {
     bool has_prev_target = false;
     SimTime migrated_at = 0;
     bool ever_migrated = false;
-    /// In active_: the next Tick visits the file.
-    bool active = false;
-    // Open-window access counters, reset when Tick visits the file.
+    // Open-window access counters, reset every Tick.
     std::uint32_t reads = 0;
     std::uint32_t writes = 0;
     std::uint32_t remote_invs = 0;
     std::uint32_t recalls = 0;
   };
 
-  using FileMap = std::map<FileId, PolicyState>;
-
-  /// The file's state, queued for the next Tick.
-  PolicyState& Touch(const FileId& file);
   AccessClass Classify(const PolicyState& s) const;
   /// Desired mode for a classification; kIdle holds the current mode.
   FileMode TargetFor(const PolicyState& s, AccessClass cls) const;
   PolicyConfig config_;
-  FileMap files_;
-  /// The files the next Tick visits, each once (PolicyState::active).
-  std::vector<FileMap::iterator> active_;
+  std::map<FileId, PolicyState> files_;
   /// Files not in polling mode (the policy_files_delegated probe).
   std::uint64_t delegated_ = 0;
 

@@ -210,67 +210,116 @@ std::vector<std::string> SnapshotFiles(const PolicyEngine& engine) {
   return out;
 }
 
-/// What two ticks did after `idle` files were each touched once and settled:
-/// the decisions each added, the migrations of the second (the three hot
-/// files clear hysteresis) and the snapshot's files once those committed.
+/// How the idle files reached their settled polling state.
+enum class Settle {
+  kTouchedOnce,  // read once, never migrated
+  kDemoted,      // promoted, then demoted by contention
+};
+
+/// Brings `idle` files (fsid 1, inos 1..idle) to a settled polling state and
+/// returns the time of the last tick, after which the engine holds no state
+/// for them.
+SimTime SettleIdleFiles(PolicyEngine& engine, std::uint64_t idle,
+                        Settle how) {
+  if (how == Settle::kTouchedOnce) {
+    for (std::uint64_t ino = 1; ino <= idle; ++ino) engine.OnRead({1, ino});
+    EXPECT_TRUE(engine.Tick(Seconds(5)).empty());
+    EXPECT_EQ(engine.decisions(), idle);
+    return Seconds(5);
+  }
+  // Two hot windows promote every file at t=10; two contended ones demote
+  // it at t=20, once its dwell is over.
+  for (int window = 1; window <= 4; ++window) {
+    for (std::uint64_t ino = 1; ino <= idle; ++ino) {
+      if (window <= 2) {
+        HotReads(engine, {1, ino});
+      } else {
+        engine.OnWrite({1, ino});
+        engine.OnInvalidation({1, ino});
+      }
+    }
+    const SimTime now = Seconds(5 * window);
+    for (const policy::Migration& m : engine.Tick(now)) {
+      engine.Commit(m.file, m.to, now);
+    }
+  }
+  EXPECT_EQ(engine.promotions(), idle);
+  EXPECT_EQ(engine.demotions(), idle);
+  // A quiet window inside the new dwell keeps every file, since its dwell
+  // anchor still matters; the first one after the dwell forgets them all.
+  for (const SimTime now : {Seconds(25), Seconds(30), Seconds(35)}) {
+    const std::uint64_t before = engine.decisions();
+    EXPECT_TRUE(engine.Tick(now).empty());
+    EXPECT_EQ(engine.decisions() - before, now <= Seconds(30) ? idle : 0u)
+        << "quiet tick at " << now / kSecond << " s";
+  }
+  return Seconds(35);
+}
+
+/// What two ticks did after `idle` files settled: the decisions each added,
+/// the migrations of the second (the three hot files clear hysteresis) and
+/// the snapshot's files once those committed.
 struct HotTicks {
   std::vector<std::uint64_t> decisions;
   std::vector<policy::Migration> migrations;
   std::vector<std::string> files;
 };
 
-HotTicks TouchThreeAfterIdle(std::uint64_t idle) {
+HotTicks TouchThreeAfterIdle(std::uint64_t idle, Settle how) {
   PolicyEngine engine(UnitConfig());
-  for (std::uint64_t ino = 1; ino <= idle; ++ino) engine.OnRead({1, ino});
-  EXPECT_TRUE(engine.Tick(Seconds(5)).empty());
-  EXPECT_EQ(engine.decisions(), idle);
+  SimTime now = SettleIdleFiles(engine, idle, how);
   EXPECT_TRUE(SnapshotFiles(engine).empty()) << "settled files hold state";
 
   const std::vector<FileId> hot{{2, 9}, {1, 42}, {1, 7}};
   HotTicks out;
-  for (int window = 2; window <= 3; ++window) {
+  for (int window = 1; window <= 2; ++window) {
     const std::uint64_t before = engine.decisions();
     for (const FileId& file : hot) HotReads(engine, file);
-    out.migrations = engine.Tick(Seconds(5 * window));
+    now += Seconds(5);
+    out.migrations = engine.Tick(now);
     out.decisions.push_back(engine.decisions() - before);
   }
   for (const policy::Migration& m : out.migrations) {
-    engine.Commit(m.file, m.to, Seconds(15));
+    engine.Commit(m.file, m.to, now);
   }
   out.files = SnapshotFiles(engine);
   return out;
 }
 
 TEST(PolicyEngine, TickCostIgnoresIdleFiles) {
-  const HotTicks few = TouchThreeAfterIdle(100);
-  const HotTicks many = TouchThreeAfterIdle(100'000);
+  for (const Settle how : {Settle::kTouchedOnce, Settle::kDemoted}) {
+    SCOPED_TRACE(how == Settle::kTouchedOnce ? "touched once" : "demoted");
+    const HotTicks few = TouchThreeAfterIdle(100, how);
+    const HotTicks many = TouchThreeAfterIdle(100'000, how);
 
-  const std::vector<std::uint64_t> three_each{3, 3};
-  EXPECT_EQ(few.decisions, three_each);
-  EXPECT_EQ(many.decisions, three_each);
+    const std::vector<std::uint64_t> three_each{3, 3};
+    EXPECT_EQ(few.decisions, three_each);
+    EXPECT_EQ(many.decisions, three_each);
 
-  ASSERT_EQ(few.migrations.size(), 3u);
-  ASSERT_EQ(many.migrations.size(), 3u);
-  const std::vector<FileId> order{{1, 7}, {1, 42}, {2, 9}};
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(few.migrations[i].file, order[i]);
-    EXPECT_EQ(few.migrations[i].to, FileMode::kReadDelegation);
-    EXPECT_EQ(many.migrations[i].file, few.migrations[i].file);
-    EXPECT_EQ(many.migrations[i].from, few.migrations[i].from);
-    EXPECT_EQ(many.migrations[i].to, few.migrations[i].to);
+    ASSERT_EQ(few.migrations.size(), 3u);
+    ASSERT_EQ(many.migrations.size(), 3u);
+    const std::vector<FileId> order{{1, 7}, {1, 42}, {2, 9}};
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(few.migrations[i].file, order[i]);
+      EXPECT_EQ(few.migrations[i].from, FileMode::kPolling);
+      EXPECT_EQ(few.migrations[i].to, FileMode::kReadDelegation);
+      EXPECT_EQ(many.migrations[i].file, few.migrations[i].file);
+      EXPECT_EQ(many.migrations[i].from, few.migrations[i].from);
+      EXPECT_EQ(many.migrations[i].to, few.migrations[i].to);
+    }
+
+    // Only the delegated files still hold state.
+    const std::vector<std::string> delegated{"1:7", "1:42", "2:9"};
+    EXPECT_EQ(few.files, delegated);
+    EXPECT_EQ(many.files, delegated);
   }
-
-  // Only the delegated files still hold state.
-  const std::vector<std::string> delegated{"1:7", "1:42", "2:9"};
-  EXPECT_EQ(few.files, delegated);
-  EXPECT_EQ(many.files, delegated);
 }
 
 // ---------------------------------------------------------------------------
 // Differential check: the engine against the full-walk engine it replaced,
 // kept here as a reference. The reference classifies every file it has ever
-// seen in every window; the engine visits only touched or unsettled files and
-// forgets settled polling files. Every decision must match.
+// seen in every window; the engine forgets a file once it has settled in
+// polling mode past its dwell. Every decision must match.
 // ---------------------------------------------------------------------------
 
 class FullWalkEngine {
@@ -481,6 +530,31 @@ bool RunPolicySchedule(std::uint64_t seed, PolicyTally& tally) {
   };
 
   SimTime now = 0;
+  // Ticks both engines at `now` and compares what they proposed.
+  auto tick = [&](const std::string& when,
+                  std::vector<policy::Migration>& want) {
+    const std::uint64_t visits = engine.decisions();
+    const auto got = engine.Tick(now);
+    want = ref.Tick(now);
+    ++tally.ticks;
+    tally.visits += engine.decisions() - visits;
+    tally.full_walks += ref.tracked();
+    const bool same_list =
+        got.size() == want.size() &&
+        std::equal(got.begin(), got.end(), want.begin(),
+                   [](const policy::Migration& a, const policy::Migration& b) {
+                     return a.file == b.file && a.from == b.from &&
+                            a.to == b.to;
+                   });
+    if (!same_list) {
+      ADD_FAILURE() << where << " " << when << ": Tick(" << now
+                    << ") = " << Describe(got) << ", reference "
+                    << Describe(want);
+      return false;
+    }
+    return same_state(when + " after Tick");
+  };
+
   for (int op = 0; op < 300; ++op) {
     const std::string when = "op " + std::to_string(op);
     if (rng.Below(100) < 75) {
@@ -519,26 +593,8 @@ bool RunPolicySchedule(std::uint64_t seed, PolicyTally& tally) {
                              Seconds(1),
                              Milliseconds(rng.Range(1, 15'000))};
     now += std::max<Duration>(1, gaps[rng.Below(std::size(gaps))]);
-    const std::uint64_t visits = engine.decisions();
-    const auto got = engine.Tick(now);
-    const auto want = ref.Tick(now);
-    ++tally.ticks;
-    tally.visits += engine.decisions() - visits;
-    tally.full_walks += ref.tracked();
-    const bool same_list =
-        got.size() == want.size() &&
-        std::equal(got.begin(), got.end(), want.begin(),
-                   [](const policy::Migration& a, const policy::Migration& b) {
-                     return a.file == b.file && a.from == b.from &&
-                            a.to == b.to;
-                   });
-    if (!same_list) {
-      ADD_FAILURE() << where << " " << when << ": Tick(" << now
-                    << ") = " << Describe(got) << ", reference "
-                    << Describe(want);
-      return false;
-    }
-    if (!same_state(when + " after Tick")) return false;
+    std::vector<policy::Migration> want;
+    if (!tick(when, want)) return false;
 
     // Each MIGRATE takes a round trip, and one in four fails (no Commit).
     for (const policy::Migration& m : want) {
@@ -555,8 +611,21 @@ bool RunPolicySchedule(std::uint64_t seed, PolicyTally& tally) {
   }
   tally.promotions_frozen += ref.promotions_frozen;
   tally.storm_freezes += ref.storm_freezes;
+
+  // Two more windows a dwell apart, the second one quiet (the first one's
+  // MIGRATEs fail): every polling file is then settled past its dwell, so
+  // the engine must hold state for the delegated files only.
+  for (int closing = 0; closing < 2; ++closing) {
+    now += std::max<Duration>(1, config.dwell);
+    std::vector<policy::Migration> failed;
+    if (!tick("closing tick", failed)) return false;
+  }
   const std::size_t kept = SnapshotFiles(engine).size();
-  EXPECT_LE(kept, ref.tracked()) << where;
+  if (kept != delegated()) {
+    ADD_FAILURE() << where << ": " << kept << " files hold state after a "
+                  << "quiet dwell, " << delegated() << " are delegated";
+    return false;
+  }
   tally.forgotten += ref.tracked() - kept;
   return true;
 }

@@ -44,7 +44,7 @@ import sys
 # bench/micro_core.cpp. The full-suite run produces more rows; anything not
 # listed here is recorded but not gated (compare.py gates only what the
 # baseline file contains). BM_PolicyTick/100 and /100000 are such rows: they
-# track whether a policy window's cost grows with the settled files it holds.
+# track how a policy window's cost grows with the delegated files it holds.
 CORE_BENCHMARKS = [
     "BM_SchedulerEventThroughput",
     "BM_XdrEncodeFattr",
