@@ -256,6 +256,114 @@ TEST(Watchdog, FiringEmitsTraceEventAndInvokesHook) {
 // Dump format: EventToJson / EventFromJson round-trip
 // ---------------------------------------------------------------------------
 
+/// Records one event of every EventType, in enumerator order, at strictly
+/// increasing times, with payload values that differ from field to field.
+void RecordEveryEventType(trace::TraceBuffer& buffer) {
+  using trace::EventType;
+  SimTime clock = Seconds(12) + 3;
+  trace::Tracer tracer(&buffer, &clock);
+  auto step = [&] { clock += Microseconds(7) + 1; };
+  std::uint32_t xid = 40;
+  for (EventType type :
+       {EventType::kRpcSend, EventType::kRpcRetransmit, EventType::kRpcReply,
+        EventType::kRpcTimeout, EventType::kRpcExec,
+        EventType::kRpcHandlerDone, EventType::kRpcDrcHit}) {
+    ++xid;
+    tracer.Rpc(type, 1, 700, 2, 2049, xid, 100003, 6, "READ", 17, xid + 100,
+               xid + 200);
+    step();
+  }
+  tracer.NetDrop(3, 4, 1500);
+  step();
+  tracer.Cache(EventType::kCacheHit, 1, 5, 10, trace::kNoOffset, "GETATTR");
+  step();
+  tracer.Cache(EventType::kCacheMiss, 1, 5, 11, trace::kNoOffset, "");
+  step();
+  tracer.Cache(EventType::kCacheWriteBack, 1, 5, 12, 32768, "WRITE");
+  step();
+  tracer.Deleg(EventType::kDelegGrant, 0, 5, 20, 2, 1,
+               trace::kDelegFlagServerSide, 0);
+  step();
+  tracer.Deleg(EventType::kDelegRecall, 1, 5, 21, 2, 0,
+               trace::kDelegFlagHasWanted | trace::kDelegFlagWantedDirty,
+               4096);
+  step();
+  tracer.Deleg(EventType::kDelegRelease, 1, 5, 22, 1, 0, 0, 0);
+  step();
+  tracer.Deleg(EventType::kDelegExpiry, 0, 5, 23, 1, 2,
+               trace::kDelegFlagServerSide, 0);
+  step();
+  tracer.Inv(EventType::kInvAppend, 0, 5, 30, 1001, 1, 1);
+  step();
+  tracer.Inv(EventType::kInvPoll, 1, 5, 31, 1002, 2, 0);
+  step();
+  tracer.Inv(EventType::kInvWrap, 0, 0, 0, 1003, 3, 2);
+  step();
+  tracer.Inv(EventType::kInvForce, 2, 0, 0, 1004, 0, 0);  // whole cache
+  step();
+  tracer.Inv(EventType::kAggFanout, 8, 5, 34, 1005, 5, 1);
+  step();
+  tracer.Inv(EventType::kAggIngest, 8, 5, 34, 1006, 6, 0);
+  step();
+  tracer.Inv(EventType::kAggDeliver, 8, 5, 34, 1007, 7, 1);
+  step();
+  tracer.Inv(EventType::kAggServe, 8, 0, 0, 1008, 8, 1);
+  step();
+  tracer.Node(EventType::kNodeCrash, 6);
+  step();
+  tracer.Node(EventType::kNodeRecover, 6);
+  step();
+  tracer.Policy(EventType::kPolicyDecide, 1, 5, 40, 0, 1,
+                trace::kPolicyFlagFrozen);
+  step();
+  tracer.Policy(EventType::kPolicyMigrate, 0, 5, 41, 1, 2,
+                trace::kPolicyFlagServerSide);
+  step();
+  tracer.Anomaly(1, 5, 42, 2, 65.5, 64.0);
+}
+
+TEST(DumpFormat, EveryEventTypeEncodesToItsGoldenLine) {
+  // The .gvfsdump line of each event type, byte for byte: the format that
+  // existing dumps and the doctor depend on.
+  const char* const kGolden[] = {
+      R"({"t":12000000003,"type":"RPC_SEND","host":1,"port":700,"peer_host":2,"peer_port":2049,"xid":41,"prog":100003,"proc":6,"label":"READ","trace_id":17,"span_id":141,"parent_span_id":241})",
+      R"({"t":12000007004,"type":"RPC_RETRANSMIT","host":1,"port":700,"peer_host":2,"peer_port":2049,"xid":42,"prog":100003,"proc":6,"label":"READ","trace_id":17,"span_id":142,"parent_span_id":242})",
+      R"({"t":12000014005,"type":"RPC_REPLY","host":1,"port":700,"peer_host":2,"peer_port":2049,"xid":43,"prog":100003,"proc":6,"label":"READ","trace_id":17,"span_id":143,"parent_span_id":243})",
+      R"({"t":12000021006,"type":"RPC_TIMEOUT","host":1,"port":700,"peer_host":2,"peer_port":2049,"xid":44,"prog":100003,"proc":6,"label":"READ","trace_id":17,"span_id":144,"parent_span_id":244})",
+      R"({"t":12000028007,"type":"RPC_EXEC","host":1,"port":700,"peer_host":2,"peer_port":2049,"xid":45,"prog":100003,"proc":6,"label":"READ","trace_id":17,"span_id":145,"parent_span_id":245})",
+      R"({"t":12000035008,"type":"RPC_HANDLER_DONE","host":1,"port":700,"peer_host":2,"peer_port":2049,"xid":46,"prog":100003,"proc":6,"label":"READ","trace_id":17,"span_id":146,"parent_span_id":246})",
+      R"({"t":12000042009,"type":"RPC_DRC_HIT","host":1,"port":700,"peer_host":2,"peer_port":2049,"xid":47,"prog":100003,"proc":6,"label":"READ","trace_id":17,"span_id":147,"parent_span_id":247})",
+      R"({"t":12000049010,"type":"NET_DROP","host":3,"dst_host":4,"wire_size":1500})",
+      R"({"t":12000056011,"type":"CACHE_HIT","host":1,"fsid":5,"ino":10,"offset":18446744073709551615,"op":"GETATTR"})",
+      R"({"t":12000063012,"type":"CACHE_MISS","host":1,"fsid":5,"ino":11,"offset":18446744073709551615,"op":""})",
+      R"({"t":12000070013,"type":"CACHE_WRITEBACK","host":1,"fsid":5,"ino":12,"offset":32768,"op":"WRITE"})",
+      R"({"t":12000077014,"type":"DELEG_GRANT","host":0,"fsid":5,"ino":20,"wanted_offset":0,"deleg_type":2,"peer_host":1,"flags":1})",
+      R"({"t":12000084015,"type":"DELEG_RECALL","host":1,"fsid":5,"ino":21,"wanted_offset":4096,"deleg_type":2,"peer_host":0,"flags":6})",
+      R"({"t":12000091016,"type":"DELEG_RELEASE","host":1,"fsid":5,"ino":22,"wanted_offset":0,"deleg_type":1,"peer_host":0,"flags":0})",
+      R"({"t":12000098017,"type":"DELEG_EXPIRY","host":0,"fsid":5,"ino":23,"wanted_offset":0,"deleg_type":1,"peer_host":2,"flags":1})",
+      R"({"t":12000105018,"type":"INV_APPEND","host":0,"fsid":5,"ino":30,"timestamp":1001,"count":1,"peer_host":1})",
+      R"({"t":12000112019,"type":"INV_POLL","host":1,"fsid":5,"ino":31,"timestamp":1002,"count":2,"peer_host":0})",
+      R"({"t":12000119020,"type":"INV_WRAP","host":0,"fsid":0,"ino":0,"timestamp":1003,"count":3,"peer_host":2})",
+      R"({"t":12000126021,"type":"INV_FORCE","host":2,"fsid":0,"ino":0,"timestamp":1004,"count":0,"peer_host":0})",
+      R"({"t":12000133022,"type":"AGG_FANOUT","host":8,"fsid":5,"ino":34,"timestamp":1005,"count":5,"peer_host":1})",
+      R"({"t":12000140023,"type":"AGG_INGEST","host":8,"fsid":5,"ino":34,"timestamp":1006,"count":6,"peer_host":0})",
+      R"({"t":12000147024,"type":"AGG_DELIVER","host":8,"fsid":5,"ino":34,"timestamp":1007,"count":7,"peer_host":1})",
+      R"({"t":12000154025,"type":"AGG_SERVE","host":8,"fsid":0,"ino":0,"timestamp":1008,"count":8,"peer_host":1})",
+      R"({"t":12000161026,"type":"NODE_CRASH","host":6})",
+      R"({"t":12000168027,"type":"NODE_RECOVER","host":6})",
+      R"({"t":12000175028,"type":"POLICY_DECIDE","host":1,"fsid":5,"ino":40,"from":0,"to":1,"flags":2})",
+      R"({"t":12000182029,"type":"POLICY_MIGRATE","host":0,"fsid":5,"ino":41,"from":1,"to":2,"flags":1})",
+      R"({"t":12000189030,"type":"ANOMALY","host":1,"fsid":5,"ino":42,"kind":2,"value":65.5,"threshold":64})",
+  };
+  trace::TraceBuffer buffer(64);
+  RecordEveryEventType(buffer);
+  ASSERT_EQ(buffer.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    EXPECT_EQ(buffer.at(i).type, static_cast<trace::EventType>(i));
+    EXPECT_EQ(obs::EventToJson(buffer, buffer.at(i)), kGolden[i]);
+  }
+}
+
 /// Serializes `ev` out of `src` and parses it back into `dst`.
 trace::Event RoundTrip(const trace::TraceBuffer& src, const trace::Event& ev,
                        trace::TraceBuffer& dst) {
