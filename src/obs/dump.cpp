@@ -1,74 +1,10 @@
 #include "obs/dump.h"
 
-#include <fstream>
-#include <sstream>
+#include "trace/export.h"
 
 namespace gvfs::obs {
 
-namespace {
-
 using trace::Event;
-using trace::EventType;
-
-enum class Family { kRpc, kNet, kCache, kDeleg, kInv, kPolicy, kAnomaly, kNode };
-
-Family FamilyOf(EventType type) {
-  switch (type) {
-    case EventType::kRpcSend:
-    case EventType::kRpcRetransmit:
-    case EventType::kRpcReply:
-    case EventType::kRpcTimeout:
-    case EventType::kRpcExec:
-    case EventType::kRpcHandlerDone:
-    case EventType::kRpcDrcHit:
-      return Family::kRpc;
-    case EventType::kNetDrop:
-      return Family::kNet;
-    case EventType::kCacheHit:
-    case EventType::kCacheMiss:
-    case EventType::kCacheWriteBack:
-      return Family::kCache;
-    case EventType::kDelegGrant:
-    case EventType::kDelegRecall:
-    case EventType::kDelegRelease:
-    case EventType::kDelegExpiry:
-      return Family::kDeleg;
-    case EventType::kInvAppend:
-    case EventType::kInvPoll:
-    case EventType::kInvWrap:
-    case EventType::kInvForce:
-    case EventType::kAggFanout:
-    case EventType::kAggIngest:
-    case EventType::kAggDeliver:
-    case EventType::kAggServe:
-      return Family::kInv;
-    case EventType::kPolicyDecide:
-    case EventType::kPolicyMigrate:
-      return Family::kPolicy;
-    case EventType::kAnomaly:
-      return Family::kAnomaly;
-    case EventType::kNodeCrash:
-    case EventType::kNodeRecover:
-      return Family::kNode;
-  }
-  return Family::kNode;
-}
-
-}  // namespace
-
-/// Name -> type lookup over every enumerator. kAnomaly is the last entry of
-/// EventType; keep that in sync if the enum grows.
-bool EventTypeFromName(const std::string& name, EventType* out) {
-  const auto last = static_cast<std::uint32_t>(EventType::kAnomaly);
-  for (std::uint32_t t = 0; t <= last; ++t) {
-    const auto type = static_cast<EventType>(t);
-    if (name == trace::EventTypeName(type)) {
-      *out = type;
-      return true;
-    }
-  }
-  return false;
-}
 
 std::string EventToJson(const trace::TraceBuffer& buffer, const Event& ev) {
   JsonObject o;
@@ -76,152 +12,20 @@ std::string EventToJson(const trace::TraceBuffer& buffer, const Event& ev) {
   o.Add("type", trace::EventTypeName(ev.type));
   o.Add("host", static_cast<std::uint64_t>(ev.host));
   if (ev.port != 0) o.Add("port", static_cast<std::uint64_t>(ev.port));
-  switch (FamilyOf(ev.type)) {
-    case Family::kRpc: {
-      const auto& r = ev.u.rpc;
-      o.Add("peer_host", static_cast<std::uint64_t>(r.peer_host));
-      o.Add("peer_port", static_cast<std::uint64_t>(r.peer_port));
-      o.Add("xid", static_cast<std::uint64_t>(r.xid));
-      o.Add("prog", static_cast<std::uint64_t>(r.prog));
-      o.Add("proc", static_cast<std::uint64_t>(r.proc));
-      o.Add("label", buffer.LabelName(r.label));
-      o.Add("trace_id", r.trace_id);
-      o.Add("span_id", r.span_id);
-      o.Add("parent_span_id", r.parent_span_id);
-      break;
-    }
-    case Family::kNet: {
-      o.Add("dst_host", static_cast<std::uint64_t>(ev.u.net.dst_host));
-      o.Add("wire_size", static_cast<std::uint64_t>(ev.u.net.wire_size));
-      break;
-    }
-    case Family::kCache: {
-      const auto& c = ev.u.cache;
-      o.Add("fsid", c.fsid);
-      o.Add("ino", c.ino);
-      o.Add("offset", c.offset);
-      o.Add("op", buffer.LabelName(c.label));
-      break;
-    }
-    case Family::kDeleg: {
-      const auto& d = ev.u.deleg;
-      o.Add("fsid", d.fsid);
-      o.Add("ino", d.ino);
-      o.Add("wanted_offset", d.wanted_offset);
-      o.Add("deleg_type", static_cast<std::uint64_t>(d.deleg_type));
-      o.Add("peer_host", static_cast<std::uint64_t>(d.peer_host));
-      o.Add("flags", static_cast<std::uint64_t>(d.flags));
-      break;
-    }
-    case Family::kInv: {
-      const auto& i = ev.u.inv;
-      o.Add("fsid", i.fsid);
-      o.Add("ino", i.ino);
-      o.Add("timestamp", i.timestamp);
-      o.Add("count", static_cast<std::uint64_t>(i.count));
-      o.Add("peer_host", static_cast<std::uint64_t>(i.peer_host));
-      break;
-    }
-    case Family::kPolicy: {
-      const auto& p = ev.u.policy;
-      o.Add("fsid", p.fsid);
-      o.Add("ino", p.ino);
-      o.Add("from", static_cast<std::uint64_t>(p.from));
-      o.Add("to", static_cast<std::uint64_t>(p.to));
-      o.Add("flags", static_cast<std::uint64_t>(p.flags));
-      break;
-    }
-    case Family::kAnomaly: {
-      const auto& a = ev.u.anomaly;
-      o.Add("fsid", a.fsid);
-      o.Add("ino", a.ino);
-      o.Add("kind", static_cast<std::uint64_t>(a.kind));
-      o.Add("value", a.value);
-      o.Add("threshold", a.threshold);
-      break;
-    }
-    case Family::kNode:
-      break;
-  }
+  trace::PayloadToJson(buffer, ev, &o);
   return o.Dump();
 }
 
 bool EventFromJson(const JsonValue& doc, trace::TraceBuffer& buffer,
                    Event* out) {
-  EventType type;
-  if (!EventTypeFromName(doc["type"].AsString(), &type)) return false;
   Event ev;
+  if (!trace::EventTypeFromName(doc["type"].AsString(), &ev.type)) {
+    return false;
+  }
   ev.time = static_cast<SimTime>(doc["t"].AsU64());
-  ev.type = type;
   ev.host = static_cast<HostId>(doc["host"].AsU64());
   ev.port = static_cast<std::uint32_t>(doc["port"].AsU64());
-  switch (FamilyOf(type)) {
-    case Family::kRpc: {
-      auto& r = ev.u.rpc;
-      r.peer_host = static_cast<std::uint32_t>(doc["peer_host"].AsU64());
-      r.peer_port = static_cast<std::uint32_t>(doc["peer_port"].AsU64());
-      r.xid = static_cast<std::uint32_t>(doc["xid"].AsU64());
-      r.prog = static_cast<std::uint32_t>(doc["prog"].AsU64());
-      r.proc = static_cast<std::uint32_t>(doc["proc"].AsU64());
-      r.label = buffer.InternLabel(doc["label"].AsString());
-      r.trace_id = doc["trace_id"].AsU64();
-      r.span_id = doc["span_id"].AsU64();
-      r.parent_span_id = doc["parent_span_id"].AsU64();
-      break;
-    }
-    case Family::kNet: {
-      ev.u.net.dst_host = static_cast<std::uint32_t>(doc["dst_host"].AsU64());
-      ev.u.net.wire_size = static_cast<std::uint32_t>(doc["wire_size"].AsU64());
-      break;
-    }
-    case Family::kCache: {
-      auto& c = ev.u.cache;
-      c.fsid = doc["fsid"].AsU64();
-      c.ino = doc["ino"].AsU64();
-      c.offset = doc["offset"].AsU64(trace::kNoOffset);
-      c.label = buffer.InternLabel(doc["op"].AsString());
-      break;
-    }
-    case Family::kDeleg: {
-      auto& d = ev.u.deleg;
-      d.fsid = doc["fsid"].AsU64();
-      d.ino = doc["ino"].AsU64();
-      d.wanted_offset = doc["wanted_offset"].AsU64();
-      d.deleg_type = static_cast<std::uint32_t>(doc["deleg_type"].AsU64());
-      d.peer_host = static_cast<std::uint32_t>(doc["peer_host"].AsU64());
-      d.flags = static_cast<std::uint32_t>(doc["flags"].AsU64());
-      break;
-    }
-    case Family::kInv: {
-      auto& i = ev.u.inv;
-      i.fsid = doc["fsid"].AsU64();
-      i.ino = doc["ino"].AsU64();
-      i.timestamp = doc["timestamp"].AsU64();
-      i.count = static_cast<std::uint32_t>(doc["count"].AsU64());
-      i.peer_host = static_cast<std::uint32_t>(doc["peer_host"].AsU64());
-      break;
-    }
-    case Family::kPolicy: {
-      auto& p = ev.u.policy;
-      p.fsid = doc["fsid"].AsU64();
-      p.ino = doc["ino"].AsU64();
-      p.from = static_cast<std::uint32_t>(doc["from"].AsU64());
-      p.to = static_cast<std::uint32_t>(doc["to"].AsU64());
-      p.flags = static_cast<std::uint32_t>(doc["flags"].AsU64());
-      break;
-    }
-    case Family::kAnomaly: {
-      auto& a = ev.u.anomaly;
-      a.fsid = doc["fsid"].AsU64();
-      a.ino = doc["ino"].AsU64();
-      a.kind = static_cast<std::uint32_t>(doc["kind"].AsU64());
-      a.value = doc["value"].AsDouble();
-      a.threshold = doc["threshold"].AsDouble();
-      break;
-    }
-    case Family::kNode:
-      break;
-  }
+  trace::PayloadFromJson(doc, buffer, &ev);
   *out = ev;
   return true;
 }

@@ -12,9 +12,11 @@
 //    "state":{provider-name:{...protocol state...},...},
 //    "anomalies":[{"kind":"recall-storm",...},...]}
 //
-// Trace events serialize losslessly per payload family (the same fields the
-// Chrome exporter renders, plus interned labels as strings), so ReadDump can
-// rebuild a real trace::TraceBuffer and re-run the TraceChecker offline.
+// Trace events serialize losslessly: the header fields, then the payload
+// object that the Chrome exporter also writes as an instant's args (see
+// trace/trace.h for the schema), with interned labels as strings. So
+// ReadDump can rebuild a real trace::TraceBuffer and re-run the TraceChecker
+// offline.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +30,8 @@
 
 namespace gvfs::obs {
 
-/// Inverse of trace::EventTypeName over every enumerator; returns false for
-/// an unknown name. Shared with the doctor's Chrome-trace ingester.
-bool EventTypeFromName(const std::string& name, trace::EventType* out);
-
-/// Renders one trace event as a JSON object line (no trailing newline).
+/// Renders one trace event as a JSON object line (no trailing newline): the
+/// header fields, then the payload as trace::PayloadToJson writes it.
 std::string EventToJson(const trace::TraceBuffer& buffer,
                         const trace::Event& ev);
 

@@ -15,12 +15,6 @@ namespace {
 using FileKey = std::pair<std::uint64_t, std::uint64_t>;          // fsid, ino
 using HostFileKey = std::tuple<HostId, std::uint64_t, std::uint64_t>;
 
-std::string FhString(std::uint64_t fsid, std::uint64_t ino) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64 ":%" PRIu64, fsid, ino);
-  return buf;
-}
-
 constexpr std::uint32_t kTypeRead = 1;   // proxy::DelegationType::kRead
 constexpr std::uint32_t kTypeWrite = 2;  // proxy::DelegationType::kWrite
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "common/logging.h"
 
@@ -18,118 +19,38 @@ std::string HostLabel(const std::vector<std::string>& names, HostId host) {
   return buf;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Chrome ts fields are microseconds.
 double ToMicros(SimTime t) { return static_cast<double>(t) / 1000.0; }
 
-std::string FhString(std::uint64_t fsid, std::uint64_t ino) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64 ":%" PRIu64, fsid, ino);
-  return buf;
-}
-
-/// Args JSON ({"k":v,...}) describing an event's payload for instant events.
-std::string PayloadArgs(const TraceBuffer& buf, const Event& ev) {
-  char out[256];
-  switch (ev.type) {
-    case EventType::kNetDrop:
-      std::snprintf(out, sizeof(out), "{\"dst_host\":%u,\"wire_size\":%u}",
-                    ev.u.net.dst_host, ev.u.net.wire_size);
-      return out;
-    case EventType::kCacheHit:
-    case EventType::kCacheMiss:
-    case EventType::kCacheWriteBack: {
-      const auto& c = ev.u.cache;
-      if (c.offset == kNoOffset) {
-        std::snprintf(out, sizeof(out), "{\"fh\":\"%s\",\"op\":\"%s\"}",
-                      FhString(c.fsid, c.ino).c_str(),
-                      JsonEscape(buf.LabelName(c.label)).c_str());
-      } else {
-        std::snprintf(out, sizeof(out),
-                      "{\"fh\":\"%s\",\"op\":\"%s\",\"offset\":%" PRIu64 "}",
-                      FhString(c.fsid, c.ino).c_str(),
-                      JsonEscape(buf.LabelName(c.label)).c_str(), c.offset);
-      }
-      return out;
-    }
-    case EventType::kDelegGrant:
-    case EventType::kDelegRecall:
-    case EventType::kDelegRelease:
-    case EventType::kDelegExpiry: {
-      const auto& d = ev.u.deleg;
-      std::snprintf(out, sizeof(out),
-                    "{\"fh\":\"%s\",\"type\":%u,\"peer_host\":%u,\"flags\":%u,"
-                    "\"wanted_offset\":%" PRIu64 "}",
-                    FhString(d.fsid, d.ino).c_str(), d.deleg_type, d.peer_host,
-                    d.flags,
-                    (d.flags & kDelegFlagHasWanted) != 0 ? d.wanted_offset : 0);
-      return out;
-    }
-    case EventType::kInvAppend:
-    case EventType::kInvPoll:
-    case EventType::kInvWrap:
-    case EventType::kInvForce:
-    case EventType::kAggFanout:
-    case EventType::kAggIngest:
-    case EventType::kAggDeliver:
-    case EventType::kAggServe: {
-      const auto& i = ev.u.inv;
-      std::snprintf(out, sizeof(out),
-                    "{\"fh\":\"%s\",\"timestamp\":%" PRIu64
-                    ",\"count\":%u,\"peer_host\":%u}",
-                    FhString(i.fsid, i.ino).c_str(), i.timestamp, i.count,
-                    i.peer_host);
-      return out;
-    }
-    case EventType::kPolicyDecide:
-    case EventType::kPolicyMigrate: {
-      const auto& p = ev.u.policy;
-      std::snprintf(out, sizeof(out),
-                    "{\"fh\":\"%s\",\"from\":%u,\"to\":%u,\"flags\":%u}",
-                    FhString(p.fsid, p.ino).c_str(), p.from, p.to, p.flags);
-      return out;
-    }
-    case EventType::kAnomaly: {
-      const auto& a = ev.u.anomaly;
-      std::snprintf(out, sizeof(out),
-                    "{\"fh\":\"%s\",\"kind\":%u,\"value\":%.6g,"
-                    "\"threshold\":%.6g}",
-                    FhString(a.fsid, a.ino).c_str(), a.kind, a.value,
-                    a.threshold);
-      return out;
-    }
-    default:
-      return "{}";
-  }
-}
-
 }  // namespace
+
+void PayloadToJson(const TraceBuffer& buffer, const Event& ev,
+                   JsonObject* out) {
+  VisitPayload(ev, [&](const char* name, const auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, std::uint16_t>) {
+      out->Add(name, buffer.LabelName(field));
+    } else if constexpr (std::is_same_v<T, double>) {
+      out->Add(name, field);
+    } else {
+      out->Add(name, static_cast<std::uint64_t>(field));
+    }
+  });
+}
+
+void PayloadFromJson(const JsonValue& in, TraceBuffer& buffer, Event* ev) {
+  VisitPayload(*ev, [&](const char* name, auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    const JsonValue& value = in[name];
+    if constexpr (std::is_same_v<T, std::uint16_t>) {
+      field = buffer.InternLabel(value.AsString());
+    } else if constexpr (std::is_same_v<T, double>) {
+      field = value.AsDouble(field);
+    } else {
+      field = static_cast<T>(value.AsU64(field));
+    }
+  });
+}
 
 void ChromeTraceWriter::Add(const TraceBuffer& buffer,
                             const ChromeTraceOptions& options) {
@@ -188,9 +109,9 @@ void ChromeTraceWriter::Add(const TraceBuffer& buffer,
     // renders the cross-process arrow.
     if (rpc.span_id != 0) {
       std::snprintf(line, sizeof(line),
-                    "{\"name\":\"%s\",\"cat\":\"rpc_flow\",\"ph\":\"s\","
+                    "{\"name\":%s,\"cat\":\"rpc_flow\",\"ph\":\"s\","
                     "\"id\":%" PRIu64 ",\"ts\":%.3f,\"pid\":%u,\"tid\":%u}",
-                    JsonEscape(name).c_str(), flow_id(rpc.span_id),
+                    JsonQuote(name).c_str(), flow_id(rpc.span_id),
                     ToMicros(span.start), pid_of(span.send.host),
                     span.send.port);
       events_.push_back(line);
@@ -198,12 +119,12 @@ void ChromeTraceWriter::Add(const TraceBuffer& buffer,
     if (timed_out) name += " (timeout)";
     std::snprintf(
         line, sizeof(line),
-        "{\"name\":\"%s\",\"cat\":\"rpc\",\"ph\":\"X\",\"ts\":%.3f,"
+        "{\"name\":%s,\"cat\":\"rpc\",\"ph\":\"X\",\"ts\":%.3f,"
         "\"dur\":%.3f,\"pid\":%u,\"tid\":%u,\"args\":{\"xid\":%u,"
         "\"prog\":%u,\"proc\":%u,\"peer_host\":%u,\"retransmits\":%u,"
         "\"trace_id\":%" PRIu64 ",\"span_id\":%" PRIu64
         ",\"parent_span_id\":%" PRIu64 "}}",
-        JsonEscape(name).c_str(), ToMicros(span.start),
+        JsonQuote(name).c_str(), ToMicros(span.start),
         ToMicros(end - span.start), pid_of(span.send.host), span.send.port,
         rpc.xid, rpc.prog, rpc.proc, rpc.peer_host, span.retransmits,
         rpc.trace_id, rpc.span_id, rpc.parent_span_id);
@@ -225,11 +146,11 @@ void ChromeTraceWriter::Add(const TraceBuffer& buffer,
     }
     std::snprintf(
         line, sizeof(line),
-        "{\"name\":\"%s\",\"cat\":\"rpc_handler\",\"ph\":\"X\",\"ts\":%.3f,"
+        "{\"name\":%s,\"cat\":\"rpc_handler\",\"ph\":\"X\",\"ts\":%.3f,"
         "\"dur\":%.3f,\"pid\":%u,\"tid\":%u,\"args\":{\"xid\":%u,"
         "\"caller_host\":%u,\"trace_id\":%" PRIu64 ",\"span_id\":%" PRIu64
         ",\"parent_span_id\":%" PRIu64 "}}",
-        JsonEscape(name).c_str(), ToMicros(exec.start),
+        JsonQuote(name).c_str(), ToMicros(exec.start),
         ToMicros(end - exec.start), pid_of(exec.exec.host), exec.exec.port,
         rpc.xid, rpc.peer_host, rpc.trace_id, rpc.span_id,
         rpc.parent_span_id);
@@ -238,10 +159,10 @@ void ChromeTraceWriter::Add(const TraceBuffer& buffer,
     // slice just emitted.
     if (rpc.span_id != 0) {
       std::snprintf(line, sizeof(line),
-                    "{\"name\":\"%s\",\"cat\":\"rpc_flow\",\"ph\":\"f\","
+                    "{\"name\":%s,\"cat\":\"rpc_flow\",\"ph\":\"f\","
                     "\"bp\":\"e\",\"id\":%" PRIu64
                     ",\"ts\":%.3f,\"pid\":%u,\"tid\":%u}",
-                    JsonEscape(name).c_str(), flow_id(rpc.span_id),
+                    JsonQuote(name).c_str(), flow_id(rpc.span_id),
                     ToMicros(exec.start), pid_of(exec.exec.host),
                     exec.exec.port);
       events_.push_back(line);
@@ -310,13 +231,16 @@ void ChromeTraceWriter::Add(const TraceBuffer& buffer,
       default:
         break;
     }
-    // Everything else: a thread-scoped instant event.
+    // Everything else: a thread-scoped instant event whose args are the
+    // event's payload.
+    JsonObject args;
+    PayloadToJson(buffer, ev, &args);
     std::snprintf(line, sizeof(line),
                   "{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\","
-                  "\"ts\":%.3f,\"pid\":%u,\"tid\":%u,\"args\":%s}",
+                  "\"ts\":%.3f,\"pid\":%u,\"tid\":%u,\"args\":",
                   EventTypeName(ev.type), ToMicros(ev.time), pid_of(ev.host),
-                  ev.port, PayloadArgs(buffer, ev).c_str());
-    events_.push_back(line);
+                  ev.port);
+    events_.push_back(line + args.Dump() + "}");
   }
 
   // Calls still in flight when the trace ended: render them as zero-length
@@ -331,9 +255,11 @@ void ChromeTraceWriter::Add(const TraceBuffer& buffer,
   for (HostId host : hosts_seen) {
     std::snprintf(line, sizeof(line),
                   "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%u,"
-                  "\"args\":{\"name\":\"%s%s\"}}",
-                  pid_of(host), JsonEscape(options.process_prefix).c_str(),
-                  JsonEscape(HostLabel(options.host_names, host)).c_str());
+                  "\"args\":{\"name\":%s}}",
+                  pid_of(host),
+                  JsonQuote(options.process_prefix +
+                            HostLabel(options.host_names, host))
+                      .c_str());
     events_.push_back(line);
   }
 }
@@ -377,14 +303,8 @@ void WriteTimeline(const TraceBuffer& buffer, std::ostream& out,
                   ToSeconds(ev.time), HostLabel(host_names, ev.host).c_str(),
                   EventTypeName(ev.type));
     out << line;
-    switch (ev.type) {
-      case EventType::kRpcSend:
-      case EventType::kRpcRetransmit:
-      case EventType::kRpcReply:
-      case EventType::kRpcTimeout:
-      case EventType::kRpcExec:
-      case EventType::kRpcHandlerDone:
-      case EventType::kRpcDrcHit: {
+    switch (FamilyOf(ev.type)) {
+      case Family::kRpc: {
         const auto& r = ev.u.rpc;
         std::snprintf(line, sizeof(line), " %s xid=%u peer=%s:%u",
                       buffer.LabelName(r.label).c_str(), r.xid,
@@ -392,15 +312,13 @@ void WriteTimeline(const TraceBuffer& buffer, std::ostream& out,
         out << line;
         break;
       }
-      case EventType::kNetDrop:
+      case Family::kNet:
         std::snprintf(line, sizeof(line), " -> %s (%u bytes)",
                       HostLabel(host_names, ev.u.net.dst_host).c_str(),
                       ev.u.net.wire_size);
         out << line;
         break;
-      case EventType::kCacheHit:
-      case EventType::kCacheMiss:
-      case EventType::kCacheWriteBack: {
+      case Family::kCache: {
         const auto& c = ev.u.cache;
         std::snprintf(line, sizeof(line), " fh=%s %s",
                       FhString(c.fsid, c.ino).c_str(),
@@ -412,10 +330,7 @@ void WriteTimeline(const TraceBuffer& buffer, std::ostream& out,
         }
         break;
       }
-      case EventType::kDelegGrant:
-      case EventType::kDelegRecall:
-      case EventType::kDelegRelease:
-      case EventType::kDelegExpiry: {
+      case Family::kDeleg: {
         const auto& d = ev.u.deleg;
         std::snprintf(line, sizeof(line), " fh=%s type=%u peer=%s%s",
                       FhString(d.fsid, d.ino).c_str(), d.deleg_type,
@@ -430,14 +345,7 @@ void WriteTimeline(const TraceBuffer& buffer, std::ostream& out,
         }
         break;
       }
-      case EventType::kInvAppend:
-      case EventType::kInvPoll:
-      case EventType::kInvWrap:
-      case EventType::kInvForce:
-      case EventType::kAggFanout:
-      case EventType::kAggIngest:
-      case EventType::kAggDeliver:
-      case EventType::kAggServe: {
+      case Family::kInv: {
         const auto& v = ev.u.inv;
         std::snprintf(line, sizeof(line),
                       " fh=%s ts=%" PRIu64 " count=%u peer=%s",
@@ -446,8 +354,7 @@ void WriteTimeline(const TraceBuffer& buffer, std::ostream& out,
         out << line;
         break;
       }
-      case EventType::kPolicyDecide:
-      case EventType::kPolicyMigrate: {
+      case Family::kPolicy: {
         const auto& p = ev.u.policy;
         std::snprintf(line, sizeof(line), " fh=%s from=%u to=%u%s%s",
                       FhString(p.fsid, p.ino).c_str(), p.from, p.to,
@@ -456,7 +363,7 @@ void WriteTimeline(const TraceBuffer& buffer, std::ostream& out,
         out << line;
         break;
       }
-      case EventType::kAnomaly: {
+      case Family::kAnomaly: {
         const auto& a = ev.u.anomaly;
         std::snprintf(line, sizeof(line),
                       " fh=%s kind=%u value=%.6g threshold=%.6g",
@@ -465,8 +372,7 @@ void WriteTimeline(const TraceBuffer& buffer, std::ostream& out,
         out << line;
         break;
       }
-      case EventType::kNodeCrash:
-      case EventType::kNodeRecover:
+      case Family::kNode:
         break;
     }
     out << '\n';

@@ -1,11 +1,15 @@
 // Trace consumers that render a TraceBuffer for humans and tools:
 //
+//  - PayloadToJson / PayloadFromJson: an event's payload as a JSON object,
+//    built from the schema in trace.h (VisitPayload). It is the body of a
+//    .gvfsdump event line (obs/dump.h) and the `args` of a Chrome instant,
+//    and the doctor reads both back with PayloadFromJson.
 //  - ChromeTraceWriter: Chrome trace-event JSON (the "JSON Array Format"),
 //    loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Each host
 //    becomes a process track; each RPC endpoint (port) becomes a thread
 //    track. RPC spans are derived from matching kRpcSend/kRpcReply pairs
 //    (duration = first send to reply, retransmission count in args); all
-//    other events render as instants.
+//    other events render as instants whose args are their payload.
 //  - WriteTimeline: a flat human-readable dump, one line per event, for
 //    quick grepping without a trace viewer.
 #pragma once
@@ -15,9 +19,19 @@
 #include <string>
 #include <vector>
 
+#include "common/json_value.h"
+#include "common/json_writer.h"
 #include "trace/trace.h"
 
 namespace gvfs::trace {
+
+/// Adds `ev`'s payload fields to `out` in schema order, labels as text.
+void PayloadToJson(const TraceBuffer& buffer, const Event& ev,
+                   JsonObject* out);
+
+/// Inverse of PayloadToJson for an event whose type is already set; labels
+/// are re-interned into `buffer`, and a missing field keeps its default.
+void PayloadFromJson(const JsonValue& in, TraceBuffer& buffer, Event* ev);
 
 struct ChromeTraceOptions {
   ChromeTraceOptions() = default;

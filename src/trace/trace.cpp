@@ -1,6 +1,10 @@
 #include "trace/trace.h"
 
 #include <cassert>
+#include <cinttypes>
+#include <cstdio>
+#include <string_view>
+#include <type_traits>
 
 namespace gvfs::trace {
 
@@ -64,6 +68,81 @@ const char* EventTypeName(EventType type) {
       return "ANOMALY";
   }
   return "?";
+}
+
+bool EventTypeFromName(const std::string& name, EventType* out) {
+  // Enumerators run from 0 without gaps, and EventTypeName answers "?" just
+  // past the last one, so this walk needs no list of its own.
+  for (std::uint8_t t = 0;; ++t) {
+    const auto type = static_cast<EventType>(t);
+    const std::string_view known = EventTypeName(type);
+    if (known == "?") return false;
+    if (known == name) {
+      *out = type;
+      return true;
+    }
+  }
+}
+
+Family FamilyOf(EventType type) {
+  switch (type) {
+    case EventType::kRpcSend:
+    case EventType::kRpcRetransmit:
+    case EventType::kRpcReply:
+    case EventType::kRpcTimeout:
+    case EventType::kRpcExec:
+    case EventType::kRpcHandlerDone:
+    case EventType::kRpcDrcHit:
+      return Family::kRpc;
+    case EventType::kNetDrop:
+      return Family::kNet;
+    case EventType::kCacheHit:
+    case EventType::kCacheMiss:
+    case EventType::kCacheWriteBack:
+      return Family::kCache;
+    case EventType::kDelegGrant:
+    case EventType::kDelegRecall:
+    case EventType::kDelegRelease:
+    case EventType::kDelegExpiry:
+      return Family::kDeleg;
+    case EventType::kInvAppend:
+    case EventType::kInvPoll:
+    case EventType::kInvWrap:
+    case EventType::kInvForce:
+    case EventType::kAggFanout:
+    case EventType::kAggIngest:
+    case EventType::kAggDeliver:
+    case EventType::kAggServe:
+      return Family::kInv;
+    case EventType::kNodeCrash:
+    case EventType::kNodeRecover:
+      return Family::kNode;
+    case EventType::kPolicyDecide:
+    case EventType::kPolicyMigrate:
+      return Family::kPolicy;
+    case EventType::kAnomaly:
+      return Family::kAnomaly;
+  }
+  return Family::kNode;
+}
+
+bool FileOf(const Event& ev, std::uint64_t* fsid, std::uint64_t* ino) {
+  *fsid = 0;
+  *ino = 0;
+  VisitPayload(ev, [&](std::string_view name, const auto& field) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(field)>,
+                                 std::uint64_t>) {
+      if (name == "fsid") *fsid = field;
+      if (name == "ino") *ino = field;
+    }
+  });
+  return (*fsid | *ino) != 0;
+}
+
+std::string FhString(std::uint64_t fsid, std::uint64_t ino) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%" PRIu64 ":%" PRIu64, fsid, ino);
+  return buf;
 }
 
 TraceBuffer::TraceBuffer(std::size_t capacity)

@@ -13,6 +13,13 @@
 // trace-event JSON and a human-readable timeline; the TraceChecker
 // (checker.h) asserts protocol invariants over the stream.
 //
+// This header is also the one owner of the event schema. FamilyOf maps each
+// type to its payload family, and VisitPayload lists each family's fields:
+// name, order and kind. The .gvfsdump codec, the Chrome `args` object and
+// the doctor's Chrome reader are all built from those two (export.h), so a
+// new event type takes an enum row, an EventTypeName case and a FamilyOf
+// case, and a new payload field takes one VisitPayload line.
+//
 // This library is a leaf: it depends only on gvfs_common, so any layer
 // (net, rpc, gvfs) can record events without include cycles. File handles
 // are therefore carried as raw (fsid, ino) pairs rather than nfs3::Fh.
@@ -79,6 +86,17 @@ enum class EventType : std::uint8_t {
 };
 
 const char* EventTypeName(EventType type);
+
+/// Inverse of EventTypeName over every enumerator; false for an unknown name.
+bool EventTypeFromName(const std::string& name, EventType* out);
+
+/// Which member of Event::u an event type carries.
+enum class Family : std::uint8_t {
+  kRpc, kNet, kCache, kDeleg, kInv, kPolicy, kAnomaly, kNode
+};
+
+/// The only map from event type to payload family.
+Family FamilyOf(EventType type);
 
 // DelegPayload::flags bits.
 constexpr std::uint32_t kDelegFlagServerSide = 1;   // recorded by the server
@@ -179,6 +197,105 @@ struct Event {
     Payload() : rpc() {}
   } u;
 };
+
+namespace detail {
+template <typename P>
+const P& ActivePayload(const P& p) {
+  return p;
+}
+template <typename P>
+P& ActivePayload(P& p) {
+  return p = P{};
+}
+}  // namespace detail
+
+/// Calls `visit(name, field)` for each payload field of `ev`'s family, in
+/// the order every encoding writes them. `E` is Event or const Event, and
+/// `field` is a reference of the matching constness. A field's kind is its
+/// type: std::uint32_t and std::uint64_t are integers, double is a real, and
+/// std::uint16_t is an interned label id, whose text is what leaves the
+/// buffer. On a mutable event the family's payload is reset to its defaults
+/// first, so a field the visitor leaves alone keeps its default.
+template <typename E, typename Visit>
+void VisitPayload(E& ev, Visit&& visit) {
+  auto& u = ev.u;
+  switch (FamilyOf(ev.type)) {
+    case Family::kRpc: {
+      auto& p = detail::ActivePayload(u.rpc);
+      visit("peer_host", p.peer_host);
+      visit("peer_port", p.peer_port);
+      visit("xid", p.xid);
+      visit("prog", p.prog);
+      visit("proc", p.proc);
+      visit("label", p.label);
+      visit("trace_id", p.trace_id);
+      visit("span_id", p.span_id);
+      visit("parent_span_id", p.parent_span_id);
+      return;
+    }
+    case Family::kNet: {
+      auto& p = detail::ActivePayload(u.net);
+      visit("dst_host", p.dst_host);
+      visit("wire_size", p.wire_size);
+      return;
+    }
+    case Family::kCache: {
+      auto& p = detail::ActivePayload(u.cache);
+      visit("fsid", p.fsid);
+      visit("ino", p.ino);
+      visit("offset", p.offset);
+      visit("op", p.label);
+      return;
+    }
+    case Family::kDeleg: {
+      auto& p = detail::ActivePayload(u.deleg);
+      visit("fsid", p.fsid);
+      visit("ino", p.ino);
+      visit("wanted_offset", p.wanted_offset);
+      visit("deleg_type", p.deleg_type);
+      visit("peer_host", p.peer_host);
+      visit("flags", p.flags);
+      return;
+    }
+    case Family::kInv: {
+      auto& p = detail::ActivePayload(u.inv);
+      visit("fsid", p.fsid);
+      visit("ino", p.ino);
+      visit("timestamp", p.timestamp);
+      visit("count", p.count);
+      visit("peer_host", p.peer_host);
+      return;
+    }
+    case Family::kPolicy: {
+      auto& p = detail::ActivePayload(u.policy);
+      visit("fsid", p.fsid);
+      visit("ino", p.ino);
+      visit("from", p.from);
+      visit("to", p.to);
+      visit("flags", p.flags);
+      return;
+    }
+    case Family::kAnomaly: {
+      auto& p = detail::ActivePayload(u.anomaly);
+      visit("fsid", p.fsid);
+      visit("ino", p.ino);
+      visit("kind", p.kind);
+      visit("value", p.value);
+      visit("threshold", p.threshold);
+      return;
+    }
+    case Family::kNode:
+      return;
+  }
+}
+
+/// The file an event belongs to: the (fsid, ino) its payload names, when
+/// that handle is nonzero. Whole-cache events and families without a handle
+/// belong to no file.
+bool FileOf(const Event& ev, std::uint64_t* fsid, std::uint64_t* ino);
+
+/// "fsid:ino", the one spelling of a file handle in reports and timelines.
+std::string FhString(std::uint64_t fsid, std::uint64_t ino);
 
 /// Bounded ring buffer of events plus the label intern table. When full, the
 /// oldest events are overwritten and `dropped()` counts the overwrites, so a

@@ -1,18 +1,22 @@
 // Unit tests for the diagnosis layer (src/obs): watchdog detectors driven
 // deterministically through ScanNow(), the detector table's internal
-// consistency, the dump format's event round-trip, and the JSON reader the
+// consistency, the dump format's event lines and round-trip, the Chrome
+// trace round-trip through the doctor's reader, and the JSON reader the
 // doctor is built on. End-to-end dump/doctor coverage lives in the doctor
 // ctest tier (tools/doctor/doctor_check.py); these tests pin the pieces.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/json_value.h"
+#include "doctor.h"
 #include "metrics/registry.h"
 #include "obs/anomaly.h"
 #include "obs/dump.h"
 #include "sim/scheduler.h"
+#include "trace/export.h"
 #include "trace/trace.h"
 
 namespace gvfs {
@@ -381,63 +385,57 @@ trace::Event RoundTrip(const trace::TraceBuffer& src, const trace::Event& ev,
 }
 
 TEST(DumpFormat, EveryPayloadFamilyRoundTrips) {
-  SimTime clock = Seconds(12);
   trace::TraceBuffer src(64);
-  trace::Tracer tracer(&src, &clock);
-  tracer.Rpc(trace::EventType::kRpcSend, 1, 2049, 2, 800, 42, 100003, 6,
-             "READ", 7, 8, 9);
-  tracer.Cache(trace::EventType::kCacheHit, 1, 5, 10, 32768, "read");
-  tracer.Deleg(trace::EventType::kDelegGrant, 2, 5, 88, 1, 7, 0, 4096);
-  tracer.Inv(trace::EventType::kInvAppend, 3, 5, 77, 123456789, 4, 9);
-  tracer.Policy(trace::EventType::kPolicyMigrate, 4, 5, 99, 0, 1,
-                trace::kPolicyFlagServerSide);
-  tracer.Anomaly(1, 5, 100, 0, 65.0, 64.0);
-  tracer.Node(trace::EventType::kNodeCrash, 6);
-  ASSERT_EQ(src.size(), 7u);
-
+  RecordEveryEventType(src);
+  // Labels are re-interned into the destination buffer, so ids differ while
+  // the text must survive. Re-encoding the parsed event out of `dst` checks
+  // every field, label text included.
   trace::TraceBuffer dst(64);
+  dst.InternLabel("shifts every label id");
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    const trace::Event out = RoundTrip(src, src.at(i), dst);
+    EXPECT_EQ(obs::EventToJson(dst, out), obs::EventToJson(src, src.at(i)));
+  }
 
   const trace::Event rpc = RoundTrip(src, src.at(0), dst);
-  EXPECT_EQ(rpc.u.rpc.peer_host, 2u);
-  EXPECT_EQ(rpc.u.rpc.peer_port, 800u);
-  EXPECT_EQ(rpc.u.rpc.xid, 42u);
-  EXPECT_EQ(rpc.u.rpc.proc, 6u);
-  EXPECT_EQ(rpc.u.rpc.trace_id, 7u);
-  EXPECT_EQ(rpc.u.rpc.span_id, 8u);
-  EXPECT_EQ(rpc.u.rpc.parent_span_id, 9u);
-  // Labels are re-interned into the destination buffer, so ids may differ
-  // while the text must survive.
+  EXPECT_EQ(rpc.u.rpc.xid, 41u);
+  EXPECT_EQ(rpc.u.rpc.parent_span_id, 241u);
   EXPECT_EQ(dst.LabelName(rpc.u.rpc.label), "READ");
-
-  const trace::Event cache = RoundTrip(src, src.at(1), dst);
-  EXPECT_EQ(cache.u.cache.offset, 32768u);
-  EXPECT_EQ(dst.LabelName(cache.u.cache.label), "read");
-
-  const trace::Event deleg = RoundTrip(src, src.at(2), dst);
-  EXPECT_EQ(deleg.u.deleg.ino, 88u);
-  EXPECT_EQ(deleg.u.deleg.deleg_type, 1u);
-  EXPECT_EQ(deleg.u.deleg.peer_host, 7u);
-  EXPECT_EQ(deleg.u.deleg.wanted_offset, 4096u);
-
-  const trace::Event inv = RoundTrip(src, src.at(3), dst);
-  EXPECT_EQ(inv.u.inv.fsid, 5u);
-  EXPECT_EQ(inv.u.inv.ino, 77u);
-  EXPECT_EQ(inv.u.inv.timestamp, 123456789u);
-  EXPECT_EQ(inv.u.inv.count, 4u);
-  EXPECT_EQ(inv.u.inv.peer_host, 9u);
-
-  const trace::Event policy = RoundTrip(src, src.at(4), dst);
-  EXPECT_EQ(policy.u.policy.ino, 99u);
-  EXPECT_EQ(policy.u.policy.from, 0u);
-  EXPECT_EQ(policy.u.policy.to, 1u);
-  EXPECT_EQ(policy.u.policy.flags, trace::kPolicyFlagServerSide);
-
-  const trace::Event anomaly = RoundTrip(src, src.at(5), dst);
-  EXPECT_EQ(anomaly.u.anomaly.ino, 100u);
-  EXPECT_EQ(anomaly.u.anomaly.value, 65.0);
+  const trace::Event hit = RoundTrip(src, src.at(8), dst);
+  EXPECT_EQ(hit.u.cache.offset, trace::kNoOffset);
+  EXPECT_EQ(dst.LabelName(hit.u.cache.label), "GETATTR");
+  const trace::Event anomaly = RoundTrip(src, src.at(src.size() - 1), dst);
+  EXPECT_EQ(anomaly.u.anomaly.value, 65.5);
   EXPECT_EQ(anomaly.u.anomaly.threshold, 64.0);
+}
 
-  RoundTrip(src, src.at(6), dst);  // kNodeCrash: header fields only
+TEST(ChromeTrace, EveryInstantComesBackFromTheDoctorReader) {
+  trace::TraceBuffer src(64);
+  RecordEveryEventType(src);
+  trace::ChromeTraceWriter writer;
+  writer.Add(src, {});
+  const std::string path = ::testing::TempDir() + "every_event_type.json";
+  ASSERT_TRUE(writer.WriteTo(path));
+  obs::DumpFile dump;
+  std::string error;
+  ASSERT_TRUE(doctor::ReadChromeTrace(path, &dump, &error)) << error;
+
+  // RPC calls and handler runs fold into spans; every other event is an
+  // instant whose args carry its payload, so it comes back whole.
+  const std::set<trace::EventType> folded = {
+      trace::EventType::kRpcSend,    trace::EventType::kRpcRetransmit,
+      trace::EventType::kRpcReply,   trace::EventType::kRpcTimeout,
+      trace::EventType::kRpcExec,    trace::EventType::kRpcHandlerDone};
+  std::vector<std::string> sent;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    if (folded.count(src.at(i).type) != 0) continue;
+    sent.push_back(obs::EventToJson(src, src.at(i)));
+  }
+  std::vector<std::string> read;
+  for (std::size_t i = 0; i < dump.trace.size(); ++i) {
+    read.push_back(obs::EventToJson(dump.trace, dump.trace.at(i)));
+  }
+  EXPECT_EQ(read, sent);
 }
 
 TEST(DumpFormat, RejectsUnknownEventType) {
@@ -457,7 +455,7 @@ TEST(DumpFormat, EventTypeNamesRoundTripThroughTheInverse) {
   for (int i = 0; i <= static_cast<int>(trace::EventType::kAnomaly); ++i) {
     const auto type = static_cast<trace::EventType>(i);
     trace::EventType parsed = trace::EventType::kRpcSend;
-    ASSERT_TRUE(obs::EventTypeFromName(trace::EventTypeName(type), &parsed))
+    ASSERT_TRUE(trace::EventTypeFromName(trace::EventTypeName(type), &parsed))
         << trace::EventTypeName(type);
     EXPECT_EQ(parsed, type);
   }

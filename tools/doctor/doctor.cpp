@@ -4,11 +4,9 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <set>
-#include <tuple>
 
 #include "common/json_value.h"
 #include "common/json_writer.h"
@@ -22,60 +20,15 @@ namespace {
 
 using trace::Event;
 using trace::EventType;
+using trace::FhString;
+using trace::Family;
 
 /// Timeline tail length per file and file count cap in a report.
 constexpr std::size_t kTimelineEntries = 20;
 constexpr std::size_t kMaxFiles = 16;
 
-std::string FhString(std::uint64_t fsid, std::uint64_t ino) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64 ":%" PRIu64, fsid, ino);
-  return buf;
-}
-
 const char* ModeName(std::uint32_t mode) {
   return policy::FileModeName(static_cast<policy::FileMode>(mode));
-}
-
-/// File identity of a file-scoped event; false for rpc/net/node events.
-bool FileOf(const Event& ev, std::uint64_t* fsid, std::uint64_t* ino) {
-  switch (ev.type) {
-    case EventType::kCacheHit:
-    case EventType::kCacheMiss:
-    case EventType::kCacheWriteBack:
-      *fsid = ev.u.cache.fsid;
-      *ino = ev.u.cache.ino;
-      return true;
-    case EventType::kDelegGrant:
-    case EventType::kDelegRecall:
-    case EventType::kDelegRelease:
-    case EventType::kDelegExpiry:
-      *fsid = ev.u.deleg.fsid;
-      *ino = ev.u.deleg.ino;
-      return true;
-    case EventType::kInvAppend:
-    case EventType::kInvPoll:
-    case EventType::kInvWrap:
-    case EventType::kInvForce:
-    case EventType::kAggFanout:
-    case EventType::kAggIngest:
-    case EventType::kAggDeliver:
-    case EventType::kAggServe:
-      *fsid = ev.u.inv.fsid;
-      *ino = ev.u.inv.ino;
-      return true;
-    case EventType::kPolicyDecide:
-    case EventType::kPolicyMigrate:
-      *fsid = ev.u.policy.fsid;
-      *ino = ev.u.policy.ino;
-      return true;
-    case EventType::kAnomaly:
-      *fsid = ev.u.anomaly.fsid;
-      *ino = ev.u.anomaly.ino;
-      return (*fsid | *ino) != 0;
-    default:
-      return false;
-  }
 }
 
 /// One timeline line for a file-scoped event, mirroring WriteTimeline but
@@ -85,17 +38,12 @@ std::string RenderEventLine(const trace::TraceBuffer& buffer, const Event& ev) {
   std::snprintf(line, sizeof(line), "[%12.6f] host %-3u %-15s",
                 ToSeconds(ev.time), ev.host, trace::EventTypeName(ev.type));
   std::string out = line;
-  switch (ev.type) {
-    case EventType::kCacheHit:
-    case EventType::kCacheMiss:
-    case EventType::kCacheWriteBack:
+  switch (trace::FamilyOf(ev.type)) {
+    case Family::kCache:
       out += " ";
       out += buffer.LabelName(ev.u.cache.label);
       break;
-    case EventType::kDelegGrant:
-    case EventType::kDelegRecall:
-    case EventType::kDelegRelease:
-    case EventType::kDelegExpiry: {
+    case Family::kDeleg: {
       const auto& d = ev.u.deleg;
       std::snprintf(line, sizeof(line), " type=%s peer=host %u%s",
                     d.deleg_type == 2 ? "write" : "read", d.peer_host,
@@ -104,22 +52,14 @@ std::string RenderEventLine(const trace::TraceBuffer& buffer, const Event& ev) {
       out += line;
       break;
     }
-    case EventType::kInvAppend:
-    case EventType::kInvPoll:
-    case EventType::kInvWrap:
-    case EventType::kInvForce:
-    case EventType::kAggFanout:
-    case EventType::kAggIngest:
-    case EventType::kAggDeliver:
-    case EventType::kAggServe: {
+    case Family::kInv: {
       const auto& v = ev.u.inv;
       std::snprintf(line, sizeof(line), " ts=%" PRIu64 " count=%u peer=host %u",
                     v.timestamp, v.count, v.peer_host);
       out += line;
       break;
     }
-    case EventType::kPolicyDecide:
-    case EventType::kPolicyMigrate: {
+    case Family::kPolicy: {
       const auto& p = ev.u.policy;
       std::snprintf(line, sizeof(line), " %s -> %s%s%s", ModeName(p.from),
                     ModeName(p.to),
@@ -129,7 +69,7 @@ std::string RenderEventLine(const trace::TraceBuffer& buffer, const Event& ev) {
       out += line;
       break;
     }
-    case EventType::kAnomaly: {
+    case Family::kAnomaly: {
       const auto& a = ev.u.anomaly;
       std::snprintf(line, sizeof(line), " %s value=%.6g threshold=%.6g",
                     obs::AnomalyKindName(
@@ -138,18 +78,12 @@ std::string RenderEventLine(const trace::TraceBuffer& buffer, const Event& ev) {
       out += line;
       break;
     }
-    default:
+    case Family::kRpc:
+    case Family::kNet:
+    case Family::kNode:
       break;
   }
   return out;
-}
-
-bool ParseFh(const std::string& fh, std::uint64_t* fsid, std::uint64_t* ino) {
-  const std::size_t colon = fh.find(':');
-  if (colon == std::string::npos) return false;
-  *fsid = std::strtoull(fh.c_str(), nullptr, 10);
-  *ino = std::strtoull(fh.c_str() + colon + 1, nullptr, 10);
-  return true;
 }
 
 bool EndsWith(const std::string& s, const char* suffix) {
@@ -257,7 +191,7 @@ DoctorReport Diagnose(const obs::DumpFile& dump) {
   for (std::size_t i = 0; i < dump.trace.size(); ++i) {
     const Event& ev = dump.trace.at(i);
     std::uint64_t fsid = 0, ino = 0;
-    if (!FileOf(ev, &fsid, &ino)) continue;
+    if (!trace::FileOf(ev, &fsid, &ino)) continue;
     Accum& acc = files[{fsid, ino}];
     acc.tl.fsid = fsid;
     acc.tl.ino = ino;
@@ -292,7 +226,7 @@ DoctorReport Diagnose(const obs::DumpFile& dump) {
   for (const auto& v : report.violations) {
     if (v.event_index >= dump.trace.size()) continue;
     std::uint64_t fsid = 0, ino = 0;
-    if (FileOf(dump.trace.at(v.event_index), &fsid, &ino)) {
+    if (trace::FileOf(dump.trace.at(v.event_index), &fsid, &ino)) {
       auto it = files.find({fsid, ino});
       if (it != files.end()) it->second.tl.flagged = true;
     }
@@ -464,13 +398,12 @@ bool ReadChromeTrace(const std::string& path, obs::DumpFile* out,
     return false;
   }
 
-  // Events plus their cache-op label (interned only once the buffer exists;
-  // the checker classifies read-class cache ops by label name).
-  struct Ingested {
-    Event ev{};
-    std::string op;
-  };
-  std::vector<Ingested> events;
+  // Labels are interned into the final buffer as events are read; the ring
+  // has a slot for every element of the file, so nothing is dropped.
+  *out = obs::DumpFile();
+  out->reason = "chrome-trace ingest";
+  out->trace = trace::TraceBuffer(std::max<std::size_t>(1, doc.size()));
+  std::vector<Event> events;
   std::uint64_t dropped = 0;
   std::uint64_t spans = 0;
   for (std::size_t i = 0; i < doc.size(); ++i) {
@@ -485,92 +418,24 @@ bool ReadChromeTrace(const std::string& path, obs::DumpFile* out,
       ++spans;
       continue;
     }
-    if (ph != "i") continue;
-    EventType type;
-    if (!obs::EventTypeFromName(name, &type)) continue;
-    Ingested rec;
-    Event& ev = rec.ev;
-    ev.type = type;
+    Event ev;
+    if (ph != "i" || !trace::EventTypeFromName(name, &ev.type)) continue;
     // ts is microseconds; pid carries the host (plus any merge offset the
     // exporter applied — merged multi-run traces keep their runs apart).
     ev.time = static_cast<SimTime>(
         std::llround(e["ts"].AsDouble() * 1000.0));
     ev.host = static_cast<HostId>(e["pid"].AsU64());
     ev.port = static_cast<std::uint32_t>(e["tid"].AsU64());
-    const JsonValue& args = e["args"];
-    switch (type) {
-      case EventType::kNetDrop:
-        ev.u.net.dst_host =
-            static_cast<std::uint32_t>(args["dst_host"].AsU64());
-        ev.u.net.wire_size =
-            static_cast<std::uint32_t>(args["wire_size"].AsU64());
-        break;
-      case EventType::kCacheHit:
-      case EventType::kCacheMiss:
-      case EventType::kCacheWriteBack:
-        ParseFh(args["fh"].AsString(), &ev.u.cache.fsid, &ev.u.cache.ino);
-        ev.u.cache.offset = args.Has("offset") ? args["offset"].AsU64()
-                                               : trace::kNoOffset;
-        rec.op = args["op"].AsString();
-        break;
-      case EventType::kDelegGrant:
-      case EventType::kDelegRecall:
-      case EventType::kDelegRelease:
-      case EventType::kDelegExpiry:
-        ParseFh(args["fh"].AsString(), &ev.u.deleg.fsid, &ev.u.deleg.ino);
-        ev.u.deleg.deleg_type =
-            static_cast<std::uint32_t>(args["type"].AsU64());
-        ev.u.deleg.peer_host =
-            static_cast<std::uint32_t>(args["peer_host"].AsU64());
-        ev.u.deleg.flags = static_cast<std::uint32_t>(args["flags"].AsU64());
-        ev.u.deleg.wanted_offset = args["wanted_offset"].AsU64();
-        break;
-      case EventType::kInvAppend:
-      case EventType::kInvPoll:
-      case EventType::kInvWrap:
-      case EventType::kInvForce:
-      case EventType::kAggFanout:
-      case EventType::kAggIngest:
-      case EventType::kAggDeliver:
-      case EventType::kAggServe:
-        ParseFh(args["fh"].AsString(), &ev.u.inv.fsid, &ev.u.inv.ino);
-        ev.u.inv.timestamp = args["timestamp"].AsU64();
-        ev.u.inv.count = static_cast<std::uint32_t>(args["count"].AsU64());
-        ev.u.inv.peer_host =
-            static_cast<std::uint32_t>(args["peer_host"].AsU64());
-        break;
-      case EventType::kPolicyDecide:
-      case EventType::kPolicyMigrate:
-        ParseFh(args["fh"].AsString(), &ev.u.policy.fsid, &ev.u.policy.ino);
-        ev.u.policy.from = static_cast<std::uint32_t>(args["from"].AsU64());
-        ev.u.policy.to = static_cast<std::uint32_t>(args["to"].AsU64());
-        ev.u.policy.flags = static_cast<std::uint32_t>(args["flags"].AsU64());
-        break;
-      case EventType::kAnomaly:
-        ParseFh(args["fh"].AsString(), &ev.u.anomaly.fsid, &ev.u.anomaly.ino);
-        ev.u.anomaly.kind = static_cast<std::uint32_t>(args["kind"].AsU64());
-        ev.u.anomaly.value = args["value"].AsDouble();
-        ev.u.anomaly.threshold = args["threshold"].AsDouble();
-        break;
-      default:
-        // RPC-family instants never appear in a Chrome trace (they become
-        // spans) and node events carry no args.
-        break;
-    }
-    events.push_back(std::move(rec));
+    trace::PayloadFromJson(e["args"], out->trace, &ev);
+    events.push_back(ev);
   }
   std::stable_sort(events.begin(), events.end(),
-                   [](const Ingested& a, const Ingested& b) {
-                     return a.ev.time < b.ev.time;
+                   [](const Event& a, const Event& b) {
+                     return a.time < b.time;
                    });
-
-  *out = obs::DumpFile();
-  out->reason = "chrome-trace ingest";
-  out->trace = trace::TraceBuffer(std::max<std::size_t>(1, events.size()));
-  for (Ingested& rec : events) {
-    if (!rec.op.empty()) rec.ev.u.cache.label = out->trace.InternLabel(rec.op);
-    out->trace.Push(rec.ev);
-    if (rec.ev.time > out->time) out->time = rec.ev.time;
+  for (const Event& ev : events) {
+    out->trace.Push(ev);
+    if (ev.time > out->time) out->time = ev.time;
   }
   out->trace_recorded = events.size() + dropped;
   out->trace_dropped = dropped;
