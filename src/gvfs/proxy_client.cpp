@@ -289,9 +289,7 @@ sim::Task<Bytes> ProxyClient::HandleGetAttr(rpc::CallContext ctx, rpc::Body args
 }
 
 sim::Task<bool> ProxyClient::RefreshDirListing(Fh dir, trace::SpanRef parent) {
-  const DiskCache::AttrEntry* dir_attr = cache_.ValidAttr(dir);
-  if (dir_attr == nullptr) co_return false;
-  const SimTime expected_mtime = dir_attr->attr.mtime;
+  if (cache_.ValidAttr(dir) == nullptr) co_return false;
 
   // Collect the complete listing first; apply atomically afterwards.
   std::vector<std::pair<std::string, Fh>> listing;
@@ -314,16 +312,10 @@ sim::Task<bool> ProxyClient::RefreshDirListing(Fh dir, trace::SpanRef parent) {
     if (res->eof || res->entries.empty()) break;
   }
 
-  // The directory may have changed while we paged: only commit if the
-  // attributes we trust now match what we started from (or were refreshed by
-  // the READDIR replies themselves).
-  const DiskCache::AttrEntry* now_attr = cache_.ValidAttr(dir);
-  if (now_attr == nullptr) co_return false;
-  if (now_attr->attr.mtime != expected_mtime &&
-      config_.model == ConsistencyModel::kInvalidationPolling) {
-    // Polling model: a newer mtime simply means our refresh already carries
-    // the latest state; proceed.
-  }
+  // Commit the listing only while the directory's attributes are still
+  // trusted; an invalidation that lands after the last READDIR reply leaves
+  // none, and the listing is dropped.
+  if (cache_.ValidAttr(dir) == nullptr) co_return false;
   cache_.ClearLookups(dir);
   for (const auto& [name, child] : listing) {
     cache_.StoreLookup(dir, name, child);
@@ -782,10 +774,13 @@ sim::Task<Bytes> ProxyClient::HandleRemove(rpc::CallContext ctx, rpc::Body args)
   if (!body) co_return Fault<nfs3::RemoveRes>();
   auto res = nfs3::Parse<nfs3::RemoveRes>(*body);
   if (res) {
+    // Find the victim before Absorb advances the directory's mtime, which
+    // makes every lookup under it stale.
+    const Fh* cached = cache_.ValidLookup(dir, parsed->name);
+    const Fh victim = cached != nullptr ? *cached : kNegative;
     Absorb(dir, res->dir_attr, /*own_write=*/true);
     if (res->status == Status::kOk) {
-      const Fh* victim = cache_.ValidLookup(dir, parsed->name);
-      if (victim != nullptr && victim->valid()) cache_.InvalidateAttr(*victim);
+      if (victim.valid()) cache_.InvalidateAttr(victim);
       cache_.StoreLookup(dir, parsed->name, kNegative);
     }
   }
@@ -944,6 +939,7 @@ sim::Task<Bytes> ProxyClient::HandleRecovery(rpc::CallContext ctx, rpc::Body) {
   delegations_.clear();
   node_.tracer().Inv(trace::EventType::kInvForce, node_.address().host, 0, 0,
                      /*timestamp=*/0, /*count=*/0, ctx.caller.host);
+  ++stats_.force_invalidations;
   RecoveryRes res;
   res.dirty_files = cache_.FilesWithDirtyData();
   co_return Serialize(res);
@@ -1300,6 +1296,7 @@ sim::Task<void> ProxyClient::Recover() {
   cache_.InvalidateAllAttrs();
   node_.tracer().Inv(trace::EventType::kInvForce, node_.address().host, 0, 0,
                      /*timestamp=*/0, /*count=*/0, upstream_.server().host);
+  ++stats_.force_invalidations;
   const std::uint64_t epoch = epoch_;
 
   // For files with cached dirty data, write back a single block each: this

@@ -222,6 +222,34 @@ TEST_F(FailureTest, DoubleCrashClientAndServer) {
   EXPECT_EQ((*data)[0], 4);
 }
 
+TEST_F(FailureTest, EveryWholeCacheInvalidationIsCounted) {
+  // A client's force_invalidations counter and its kInvForce events agree
+  // after a server restart (recovery callback) and its own restart.
+  auto& session = bed_.CreateSession(Delegation(), {0, 1}, Noac());
+  ASSERT_TRUE(bed_.fs().Create(bed_.fs().root(), "f", 0644).has_value());
+  (void)RunTask(bed_.sched(), session.mount(0).Stat("/f"));
+  (void)RunTask(bed_.sched(), session.mount(1).Stat("/f"));
+
+  session.server->Crash();
+  (void)RunTask(bed_.sched(), session.server->Recover());
+  session.proxy(0).Crash();
+  (void)RunTask(bed_.sched(), session.proxy(0).Recover());
+
+  const trace::TraceBuffer& trace = *bed_.trace_buffer();
+  for (int i = 0; i < 2; ++i) {
+    std::uint64_t forced = 0;
+    for (std::size_t e = 0; e < trace.size(); ++e) {
+      const trace::Event& ev = trace.at(e);
+      if (ev.type == trace::EventType::kInvForce && ev.host == Host(i)) {
+        ++forced;
+      }
+    }
+    EXPECT_EQ(forced, i == 0 ? 2u : 1u) << "client " << i;
+    EXPECT_EQ(session.proxy(i).stats().force_invalidations, forced)
+        << "client " << i;
+  }
+}
+
 TEST_F(FailureTest, FileDroppedDuringRecoveryProbeIsNotTouched) {
   // Regression: RecoverFile captured the disk-cache entry pointer before
   // awaiting the recovery GETATTR; dropping the file during that await (as

@@ -263,6 +263,28 @@ TEST_F(PollingTest, CoalescedRepeatedWritesFlushOnce) {
   EXPECT_EQ(session.stats->Calls("WRITE"), 1u);
 }
 
+TEST_F(PollingTest, RemoverDropsVictimAttrsOfLinkedFile) {
+  // The server does not send a client its own mutations, so after a REMOVE
+  // only the remover's proxy can drop the victim's attributes. Another link
+  // to the victim then shows the new link count.
+  auto& session = bed_.CreateSession(PollingConfig(), {0});
+  auto& fs = bed_.fs();
+  auto f = fs.Create(fs.root(), "f", 0644);
+  ASSERT_TRUE(f.has_value());
+  ASSERT_TRUE(fs.Link(*f, fs.root(), "g").has_value());
+
+  (void)RunTask(bed_.sched(), Advance(Seconds(120)));
+  auto before = RunTask(bed_.sched(), session.mount(0).Stat("/f"));
+  ASSERT_TRUE(before.has_value());
+  EXPECT_EQ(before->nlink, 2u);
+
+  ASSERT_TRUE(RunTask(bed_.sched(), session.mount(0).Unlink("/f")).has_value());
+  (void)RunTask(bed_.sched(), Advance(Seconds(120)));
+  auto after = RunTask(bed_.sched(), session.mount(0).Stat("/g"));
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->nlink, 1u);
+}
+
 TEST_F(PollingTest, ServerRestartForcesClientReset) {
   auto& session = bed_.CreateSession(PollingConfig(Seconds(20)), {0});
   ASSERT_TRUE(bed_.fs().Create(bed_.fs().root(), "f", 0644).has_value());
