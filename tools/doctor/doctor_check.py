@@ -8,6 +8,9 @@ Modes:
           with healthy=false
   fig5    fig5_postmark --dump-out dump -> doctor must exit 0 (a passing
           benchmark run diagnoses clean)
+  chrome  fig5_postmark --trace-out trace -> doctor --trace must exit 0, say
+          HEALTHY, and read back every instant event of the Chrome trace
+          (its JSON trace.events equals the trace's "ph":"i" count)
   storm   fig_adapt --dump-on-anomaly dump --storm-threshold 2 -> the online
           recall-storm detector fires mid-run and snapshots the session; the
           doctor must reproduce the same recall-storm verdict from the dump
@@ -37,7 +40,8 @@ def run(cmd, expect_rc=None):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--mode", required=True,
-                        choices=["clean", "unsafe", "fig5", "storm"])
+                        choices=["clean", "unsafe", "fig5", "storm",
+                                 "chrome"])
     parser.add_argument("--doctor", required=True)
     parser.add_argument("--fixture")
     parser.add_argument("--fig5")
@@ -70,6 +74,26 @@ def main():
                      f"anomaly: {sorted(kinds)}")
         print("OK: recall-storm dump round-trips through the doctor "
               f"({sorted(kinds)})")
+        return
+
+    if args.mode == "chrome":
+        if not args.fig5:
+            sys.exit("FAIL: --fig5 is required in chrome mode")
+        trace = workdir / "fig5_trace.json"
+        run([args.fig5, "--trace-out", trace], expect_rc=0)
+        report_json = workdir / "chrome_report.json"
+        proc = run([args.doctor, "--trace", trace, "--json-out", report_json],
+                   expect_rc=0)
+        if "VERDICT: HEALTHY" not in proc.stdout:
+            sys.exit(f"FAIL: Chrome trace {trace} did not diagnose healthy")
+        instants = sum(1 for e in json.loads(trace.read_text())
+                       if e.get("ph") == "i")
+        events = json.loads(report_json.read_text())["trace"]["events"]
+        if events != instants:
+            sys.exit(f"FAIL: doctor read {events} events back from {trace}, "
+                     f"which holds {instants} instants")
+        print(f"OK: all {instants} instants of a fig5 Chrome trace round-trip "
+              "through the doctor")
         return
 
     if args.mode == "fig5":
