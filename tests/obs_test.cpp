@@ -407,6 +407,14 @@ TEST(DumpFormat, EveryPayloadFamilyRoundTrips) {
   const trace::Event anomaly = RoundTrip(src, src.at(src.size() - 1), dst);
   EXPECT_EQ(anomaly.u.anomaly.value, 65.5);
   EXPECT_EQ(anomaly.u.anomaly.threshold, 64.0);
+
+  // A field missing from the input keeps its declared default.
+  JsonParser parser;
+  trace::Event partial;
+  ASSERT_TRUE(obs::EventFromJson(
+      parser.Parse(R"({"t":5,"type":"CACHE_HIT","host":1,"fsid":5,"ino":10})"),
+      dst, &partial));
+  EXPECT_EQ(partial.u.cache.offset, trace::kNoOffset);
 }
 
 TEST(ChromeTrace, EveryInstantComesBackFromTheDoctorReader) {
@@ -436,6 +444,21 @@ TEST(ChromeTrace, EveryInstantComesBackFromTheDoctorReader) {
     read.push_back(obs::EventToJson(dump.trace, dump.trace.at(i)));
   }
   EXPECT_EQ(read, sent);
+}
+
+TEST(DoctorReport, FilesAreTheNonzeroHandlesEventsName) {
+  // Whole-cache invalidations and GETINV batches name handle 0:0; they, and
+  // the families without a handle, belong to no file.
+  obs::DumpFile dump;
+  dump.trace = trace::TraceBuffer(64);
+  RecordEveryEventType(dump.trace);
+  const doctor::DoctorReport report = doctor::Diagnose(dump);
+  std::set<std::pair<std::uint64_t, std::uint64_t>> files;
+  for (const auto& f : report.files) files.insert({f.fsid, f.ino});
+  const std::set<std::pair<std::uint64_t, std::uint64_t>> named = {
+      {5, 10}, {5, 11}, {5, 12}, {5, 20}, {5, 21}, {5, 22}, {5, 23},
+      {5, 30}, {5, 31}, {5, 34}, {5, 40}, {5, 41}, {5, 42}};
+  EXPECT_EQ(files, named);
 }
 
 TEST(DumpFormat, RejectsUnknownEventType) {
