@@ -2,13 +2,15 @@
 
 #include <algorithm>
 
-#include "xdr/xdr.h"
-
 namespace gvfs::afs {
 
 using kclient::Fd;
 using kclient::OpenFlags;
 using kclient::VfsResult;
+using nfs3::FailWith;
+using nfs3::FromFsError;
+using nfs3::Parse;
+using nfs3::Serialize;
 using nfs3::Status;
 
 namespace {
@@ -19,37 +21,17 @@ constexpr rpc::CallOptions AfsRpc() {
   return opts;
 }
 
-Bytes EncodePath(const std::string& path) {
-  xdr::Encoder enc;
-  enc.PutString(path);
-  return enc.Take();
-}
-
-Bytes EncodePathData(const std::string& path, const Bytes& data) {
-  xdr::Encoder enc;
-  enc.PutString(path);
-  enc.PutOpaque(data);
-  return enc.Take();
-}
-
-Bytes EncodeTwoPaths(const std::string& a, const std::string& b) {
-  xdr::Encoder enc;
-  enc.PutString(a);
-  enc.PutString(b);
-  return enc.Take();
-}
-
-Bytes StatusReply(Status status) {
-  xdr::Encoder enc;
-  enc.PutU32(static_cast<std::uint32_t>(status));
-  return enc.Take();
-}
-
-Bytes StatusAttrReply(Status status, const nfs3::Fattr& attr) {
-  xdr::Encoder enc;
-  enc.PutU32(static_cast<std::uint32_t>(status));
-  attr.Encode(enc);
-  return enc.Take();
+/// One request whose reply is a bare status.
+sim::Task<VfsResult<void>> StatusOp(rpc::RpcNode* node, net::Address server,
+                                    AfsProc proc, Bytes args, const char* label) {
+  rpc::CallOptions opts = AfsRpc();
+  opts.label = label;
+  auto reply = co_await node->Call(server, kAfsProgram, proc, std::move(args), std::move(opts));
+  if (!reply) co_return Unexpected(Status::kIo);
+  auto res = Parse<StatusRes>(*reply);
+  if (!res) co_return Unexpected(Status::kIo);
+  if (res->status != Status::kOk) co_return Unexpected(res->status);
+  co_return Ok{};
 }
 
 }  // namespace
@@ -101,6 +83,9 @@ sim::Task<void> AfsServer::BreakPromises(std::string path, net::Address mutator)
   if (it == promises_.end()) co_return;
   std::vector<net::Address> holders(it->second.begin(), it->second.end());
   it->second.clear();
+  // Request bytes are built outside co_await expressions: GCC 12 mishandles
+  // aggregate temporaries that live across a suspension (DESIGN.md §6).
+  const Bytes args = Serialize(PathArgs{path});
   for (const auto& holder : holders) {
     if (holder == mutator) continue;
     ++stats_.callback_breaks;
@@ -108,154 +93,128 @@ sim::Task<void> AfsServer::BreakPromises(std::string path, net::Address mutator)
     opts.label = "CBBREAK";
     opts.timeout = Seconds(2);
     opts.max_retries = 2;
-    (void)co_await node_.Call(holder, kAfsProgram, kCallbackBreak,
-                              EncodePath(path), std::move(opts));
+    (void)co_await node_.Call(holder, kAfsProgram, kCallbackBreak, args, std::move(opts));
   }
 }
 
 sim::Task<Bytes> AfsServer::HandleFetchStatus(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.fetches;
-  xdr::Decoder dec(args);
-  auto path = dec.GetString();
-  if (!path) co_return StatusReply(Status::kInval);
-  const std::string p = path->Copy();
-  AddPromise(p, ctx.caller);  // promise covers negative results too
-  auto ino = fs_.ResolvePath(p);
-  if (!ino) co_return StatusReply(nfs3::FromFsError(ino.error()));
+  auto req = Parse<PathArgs>(args);
+  if (!req) co_return FailWith<FetchStatusRes>(Status::kInval);
+  AddPromise(req->path, ctx.caller);  // promise covers negative results too
+  auto ino = fs_.ResolvePath(req->path);
+  if (!ino) co_return FailWith<FetchStatusRes>(FromFsError(ino.error()));
   auto attr = fs_.GetAttr(*ino);
-  if (!attr) co_return StatusReply(nfs3::FromFsError(attr.error()));
-  co_return StatusAttrReply(Status::kOk, nfs3::ToFattr(*attr));
+  if (!attr) co_return FailWith<FetchStatusRes>(FromFsError(attr.error()));
+  co_return Serialize(FetchStatusRes{Status::kOk, nfs3::ToFattr(*attr)});
 }
 
 sim::Task<Bytes> AfsServer::HandleFetchData(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.fetches;
-  xdr::Decoder dec(args);
-  auto path = dec.GetString();
-  if (!path) co_return StatusReply(Status::kInval);
-  const std::string p = path->Copy();
-  AddPromise(p, ctx.caller);
-  auto ino = fs_.ResolvePath(p);
-  if (!ino) co_return StatusReply(nfs3::FromFsError(ino.error()));
+  auto req = Parse<PathArgs>(args);
+  if (!req) co_return FailWith<FetchDataRes>(Status::kInval);
+  AddPromise(req->path, ctx.caller);
+  auto ino = fs_.ResolvePath(req->path);
+  if (!ino) co_return FailWith<FetchDataRes>(FromFsError(ino.error()));
   auto attr = fs_.GetAttr(*ino);
-  if (!attr) co_return StatusReply(nfs3::FromFsError(attr.error()));
+  if (!attr) co_return FailWith<FetchDataRes>(FromFsError(attr.error()));
   auto data = fs_.Read(*ino, 0, static_cast<std::uint32_t>(attr->size));
-  if (!data) co_return StatusReply(nfs3::FromFsError(data.error()));
-  xdr::Encoder enc;
-  enc.PutU32(static_cast<std::uint32_t>(Status::kOk));
-  nfs3::ToFattr(*attr).Encode(enc);
-  enc.PutOpaque(data->data);
-  co_return enc.Take();
+  if (!data) co_return FailWith<FetchDataRes>(FromFsError(data.error()));
+  co_return Serialize(
+      FetchDataRes{Status::kOk, nfs3::ToFattr(*attr), std::move(data->data)});
 }
 
 sim::Task<Bytes> AfsServer::HandleStoreData(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.stores;
-  xdr::Decoder dec(args);
-  auto path = dec.GetString();
-  auto data = path ? dec.GetOpaque()
-                   : Expected<xdr::View, xdr::DecodeError>(
-                         Unexpected(xdr::DecodeError::kTruncated));
-  if (!path || !data) co_return StatusReply(Status::kInval);
-  const std::string p = path->Copy();
-  auto ino = fs_.ResolvePath(p);
-  if (!ino) co_return StatusReply(nfs3::FromFsError(ino.error()));
-  co_await BreakPromises(p, ctx.caller);
+  auto req = Parse<StoreDataArgs>(args);
+  if (!req) co_return FailWith<StatusRes>(Status::kInval);
+  auto ino = fs_.ResolvePath(req->path);
+  if (!ino) co_return FailWith<StatusRes>(FromFsError(ino.error()));
+  co_await BreakPromises(req->path, ctx.caller);
   memfs::SetAttrRequest trunc;
   trunc.size = 0;
   (void)fs_.SetAttr(*ino, trunc);
-  auto written = fs_.Write(*ino, 0, data->Copy());
-  if (!written) co_return StatusReply(nfs3::FromFsError(written.error()));
-  co_return StatusReply(Status::kOk);
+  auto written = fs_.Write(*ino, 0, req->data);
+  if (!written) co_return FailWith<StatusRes>(FromFsError(written.error()));
+  co_return Serialize(StatusRes{});
 }
 
 sim::Task<Bytes> AfsServer::HandleCreate(rpc::CallContext ctx, rpc::Body args) {
-  xdr::Decoder dec(args);
-  auto path = dec.GetString();
-  if (!path) co_return StatusReply(Status::kInval);
-  const std::string p = path->Copy();
+  auto req = Parse<PathArgs>(args);
+  if (!req) co_return FailWith<StatusRes>(Status::kInval);
+  const std::string p = std::move(req->path);
   auto parent = Parent(p);
-  if (!parent) co_return StatusReply(parent.error());
+  if (!parent) co_return FailWith<StatusRes>(parent.error());
   co_await BreakPromises(p, ctx.caller);
   co_await BreakPromises(p.substr(0, p.find_last_of('/')), ctx.caller);
   auto created = fs_.Create(parent->first, parent->second, 0644);
-  if (!created) co_return StatusReply(nfs3::FromFsError(created.error()));
-  co_return StatusReply(Status::kOk);
+  if (!created) co_return FailWith<StatusRes>(FromFsError(created.error()));
+  co_return Serialize(StatusRes{});
 }
 
 sim::Task<Bytes> AfsServer::HandleRemove(rpc::CallContext ctx, rpc::Body args) {
-  xdr::Decoder dec(args);
-  auto path = dec.GetString();
-  if (!path) co_return StatusReply(Status::kInval);
-  const std::string p = path->Copy();
+  auto req = Parse<PathArgs>(args);
+  if (!req) co_return FailWith<StatusRes>(Status::kInval);
+  const std::string p = std::move(req->path);
   auto parent = Parent(p);
-  if (!parent) co_return StatusReply(parent.error());
+  if (!parent) co_return FailWith<StatusRes>(parent.error());
   co_await BreakPromises(p, ctx.caller);
   co_await BreakPromises(p.substr(0, p.find_last_of('/')), ctx.caller);
   auto removed = fs_.Remove(parent->first, parent->second);
-  if (!removed) co_return StatusReply(nfs3::FromFsError(removed.error()));
-  co_return StatusReply(Status::kOk);
+  if (!removed) co_return FailWith<StatusRes>(FromFsError(removed.error()));
+  co_return Serialize(StatusRes{});
 }
 
 sim::Task<Bytes> AfsServer::HandleLink(rpc::CallContext ctx, rpc::Body args) {
-  xdr::Decoder dec(args);
-  auto target = dec.GetString();
-  auto newpath = target ? dec.GetString()
-                        : Expected<xdr::StrView, xdr::DecodeError>(
-                              Unexpected(xdr::DecodeError::kTruncated));
-  if (!target || !newpath) co_return StatusReply(Status::kInval);
-  const std::string np = newpath->Copy();
-  auto target_ino = fs_.ResolvePath(target->Copy());
-  if (!target_ino) co_return StatusReply(nfs3::FromFsError(target_ino.error()));
+  auto req = Parse<LinkArgs>(args);
+  if (!req) co_return FailWith<StatusRes>(Status::kInval);
+  const std::string np = std::move(req->new_path);
+  auto target_ino = fs_.ResolvePath(req->target);
+  if (!target_ino) co_return FailWith<StatusRes>(FromFsError(target_ino.error()));
   auto parent = Parent(np);
-  if (!parent) co_return StatusReply(parent.error());
+  if (!parent) co_return FailWith<StatusRes>(parent.error());
   co_await BreakPromises(np, ctx.caller);
   co_await BreakPromises(np.substr(0, np.find_last_of('/')), ctx.caller);
   auto linked = fs_.Link(*target_ino, parent->first, parent->second);
-  if (!linked) co_return StatusReply(nfs3::FromFsError(linked.error()));
-  co_return StatusReply(Status::kOk);
+  if (!linked) co_return FailWith<StatusRes>(FromFsError(linked.error()));
+  co_return Serialize(StatusRes{});
 }
 
 sim::Task<Bytes> AfsServer::HandleMkdir(rpc::CallContext ctx, rpc::Body args) {
-  xdr::Decoder dec(args);
-  auto path = dec.GetString();
-  if (!path) co_return StatusReply(Status::kInval);
-  const std::string p = path->Copy();
-  auto parent = Parent(p);
-  if (!parent) co_return StatusReply(parent.error());
-  co_await BreakPromises(p, ctx.caller);
+  auto req = Parse<PathArgs>(args);
+  if (!req) co_return FailWith<StatusRes>(Status::kInval);
+  auto parent = Parent(req->path);
+  if (!parent) co_return FailWith<StatusRes>(parent.error());
+  co_await BreakPromises(req->path, ctx.caller);
   auto made = fs_.Mkdir(parent->first, parent->second, 0755);
-  if (!made) co_return StatusReply(nfs3::FromFsError(made.error()));
-  co_return StatusReply(Status::kOk);
+  if (!made) co_return FailWith<StatusRes>(FromFsError(made.error()));
+  co_return Serialize(StatusRes{});
 }
 
 sim::Task<Bytes> AfsServer::HandleRmdir(rpc::CallContext ctx, rpc::Body args) {
-  xdr::Decoder dec(args);
-  auto path = dec.GetString();
-  if (!path) co_return StatusReply(Status::kInval);
-  const std::string p = path->Copy();
-  auto parent = Parent(p);
-  if (!parent) co_return StatusReply(parent.error());
-  co_await BreakPromises(p, ctx.caller);
+  auto req = Parse<PathArgs>(args);
+  if (!req) co_return FailWith<StatusRes>(Status::kInval);
+  auto parent = Parent(req->path);
+  if (!parent) co_return FailWith<StatusRes>(parent.error());
+  co_await BreakPromises(req->path, ctx.caller);
   auto removed = fs_.Rmdir(parent->first, parent->second);
-  if (!removed) co_return StatusReply(nfs3::FromFsError(removed.error()));
-  co_return StatusReply(Status::kOk);
+  if (!removed) co_return FailWith<StatusRes>(FromFsError(removed.error()));
+  co_return Serialize(StatusRes{});
 }
 
 sim::Task<Bytes> AfsServer::HandleListDir(rpc::CallContext ctx, rpc::Body args) {
-  xdr::Decoder dec(args);
-  auto path = dec.GetString();
-  if (!path) co_return StatusReply(Status::kInval);
-  const std::string p = path->Copy();
+  auto req = Parse<PathArgs>(args);
+  if (!req) co_return FailWith<ListDirRes>(Status::kInval);
+  const std::string& p = req->path;
   AddPromise(p, ctx.caller);
   auto ino = p.empty() || p == "/" ? memfs::FsResult<memfs::InodeId>(fs_.root())
                                    : fs_.ResolvePath(p);
-  if (!ino) co_return StatusReply(nfs3::FromFsError(ino.error()));
+  if (!ino) co_return FailWith<ListDirRes>(FromFsError(ino.error()));
   auto entries = fs_.ReadDir(*ino, 0, 100000);
-  if (!entries) co_return StatusReply(nfs3::FromFsError(entries.error()));
-  xdr::Encoder enc;
-  enc.PutU32(static_cast<std::uint32_t>(Status::kOk));
-  enc.PutU32(static_cast<std::uint32_t>(entries->size()));
-  for (const auto& entry : *entries) enc.PutString(entry.name);
-  co_return enc.Take();
+  if (!entries) co_return FailWith<ListDirRes>(FromFsError(entries.error()));
+  ListDirRes res;
+  for (auto& entry : *entries) res.names.push_back(std::move(entry.name));
+  co_return Serialize(res);
 }
 
 // ---------------------------------------------------------------------------
@@ -272,12 +231,9 @@ AfsClient::AfsClient(sim::Scheduler& sched, rpc::RpcNode& node, net::Address ser
 
 sim::Task<Bytes> AfsClient::HandleCallbackBreak(rpc::CallContext, rpc::Body args) {
   ++breaks_received_;
-  xdr::Decoder dec(args);
-  auto path = dec.GetString();
-  if (path) {
-    const std::string p = path->Copy();
-    status_cache_.erase(p);
-    auto file = file_cache_.find(p);
+  if (auto req = Parse<PathArgs>(args)) {
+    status_cache_.erase(req->path);
+    auto file = file_cache_.find(req->path);
     if (file != file_cache_.end()) file->second.valid = false;
   }
   co_return Bytes{};
@@ -292,20 +248,18 @@ sim::Task<VfsResult<AfsClient::CachedStatus>> AfsClient::FetchStatus(
   }
   rpc::CallOptions opts = AfsRpc();
   opts.label = "FETCHSTATUS";
-  auto reply = co_await node_.Call(server_, kAfsProgram, kFetchStatus,
-                                   EncodePath(path), std::move(opts));
+  Bytes args = Serialize(PathArgs{path});
+  auto reply = co_await node_.Call(server_, kAfsProgram, kFetchStatus, std::move(args),
+                                   std::move(opts));
   if (!reply) co_return Unexpected(Status::kIo);
-  xdr::Decoder dec(*reply);
-  auto status = dec.GetU32();
-  if (!status) co_return Unexpected(Status::kIo);
+  auto res = Parse<FetchStatusRes>(*reply);
+  if (!res) co_return Unexpected(Status::kIo);
   CachedStatus result;
-  if (static_cast<Status>(*status) == Status::kOk) {
-    auto attr = nfs3::Fattr::Decode(dec);
-    if (!attr) co_return Unexpected(Status::kIo);
+  if (res->status == Status::kOk) {
     result.exists = true;
-    result.attr = *attr;
-  } else if (static_cast<Status>(*status) != Status::kNoEnt) {
-    co_return Unexpected(static_cast<Status>(*status));
+    result.attr = res->attr;
+  } else if (res->status != Status::kNoEnt) {
+    co_return Unexpected(res->status);
   }
   status_cache_[path] = result;  // positive or negative, promise-backed
   co_return result;
@@ -317,17 +271,9 @@ sim::Task<VfsResult<Fd>> AfsClient::Open(std::string path, OpenFlags flags) {
 
   if (!status->exists) {
     if (!flags.create) co_return Unexpected(Status::kNoEnt);
-    rpc::CallOptions opts = AfsRpc();
-    opts.label = "CREATE";
-    auto reply = co_await node_.Call(server_, kAfsProgram, kCreateFile,
-                                     EncodePath(path), std::move(opts));
-    if (!reply) co_return Unexpected(Status::kIo);
-    xdr::Decoder dec(*reply);
-    auto result = dec.GetU32();
-    if (!result) co_return Unexpected(Status::kIo);
-    if (static_cast<Status>(*result) != Status::kOk) {
-      co_return Unexpected(static_cast<Status>(*result));
-    }
+    Bytes args = Serialize(PathArgs{path});
+    auto created = co_await StatusOp(&node_, server_, kCreateFile, std::move(args), "CREATE");
+    if (!created) co_return Unexpected(created.error());
     status_cache_.erase(path);
     file_cache_[path] = CachedFile{{}, true};
   } else if (flags.exclusive && flags.create) {
@@ -338,19 +284,14 @@ sim::Task<VfsResult<Fd>> AfsClient::Open(std::string path, OpenFlags flags) {
     if (cached == file_cache_.end() || !cached->second.valid) {
       rpc::CallOptions opts = AfsRpc();
       opts.label = "FETCHDATA";
-      auto reply = co_await node_.Call(server_, kAfsProgram, kFetchData,
-                                       EncodePath(path), std::move(opts));
+      Bytes args = Serialize(PathArgs{path});
+      auto reply = co_await node_.Call(server_, kAfsProgram, kFetchData, std::move(args),
+                                       std::move(opts));
       if (!reply) co_return Unexpected(Status::kIo);
-      xdr::Decoder dec(*reply);
-      auto result = dec.GetU32();
-      if (!result) co_return Unexpected(Status::kIo);
-      if (static_cast<Status>(*result) != Status::kOk) {
-        co_return Unexpected(static_cast<Status>(*result));
-      }
-      auto attr = nfs3::Fattr::Decode(dec);
-      auto data = dec.GetOpaque();
-      if (!attr || !data) co_return Unexpected(Status::kIo);
-      file_cache_[path] = CachedFile{data->Copy(), true};
+      auto res = Parse<FetchDataRes>(*reply);
+      if (!res) co_return Unexpected(Status::kIo);
+      if (res->status != Status::kOk) co_return Unexpected(res->status);
+      file_cache_[path] = CachedFile{std::move(res->data), true};
     }
   }
 
@@ -371,9 +312,9 @@ sim::Task<VfsResult<void>> AfsClient::Close(Fd fd) {
     // Store-on-close: ship the whole file back.
     rpc::CallOptions opts = AfsRpc();
     opts.label = "STOREDATA";
-    auto reply = co_await node_.Call(
-        server_, kAfsProgram, kStoreData,
-        EncodePathData(file.path, file_cache_[file.path].data), std::move(opts));
+    Bytes args = Serialize(StoreDataArgs{file.path, file_cache_[file.path].data});
+    auto reply = co_await node_.Call(server_, kAfsProgram, kStoreData, std::move(args),
+                                     std::move(opts));
     if (!reply) co_return Unexpected(Status::kIo);
     status_cache_.erase(file.path);  // size/mtime changed
   }
@@ -417,46 +358,29 @@ sim::Task<VfsResult<bool>> AfsClient::Exists(std::string path) {
   co_return status->exists;
 }
 
-namespace {
-
-/// Shared helper for the path-only mutation RPCs.
-sim::Task<VfsResult<void>> PathOp(rpc::RpcNode* node, net::Address server,
-                                  AfsProc proc, Bytes args, const char* label) {
-  rpc::CallOptions opts = AfsRpc();
-  opts.label = label;
-  auto reply = co_await node->Call(server, kAfsProgram, proc, std::move(args), std::move(opts));
-  if (!reply) co_return Unexpected(Status::kIo);
-  xdr::Decoder dec(*reply);
-  auto status = dec.GetU32();
-  if (!status) co_return Unexpected(Status::kIo);
-  if (static_cast<Status>(*status) != Status::kOk) {
-    co_return Unexpected(static_cast<Status>(*status));
-  }
-  co_return Ok{};
-}
-
-}  // namespace
-
 sim::Task<VfsResult<void>> AfsClient::Unlink(std::string path) {
   status_cache_.erase(path);
   file_cache_.erase(path);
-  co_return co_await PathOp(&node_, server_, kRemoveFile, EncodePath(path), "REMOVE");
+  Bytes args = Serialize(PathArgs{path});
+  co_return co_await StatusOp(&node_, server_, kRemoveFile, std::move(args), "REMOVE");
 }
 
 sim::Task<VfsResult<void>> AfsClient::Mkdir(std::string path) {
-  co_return co_await PathOp(&node_, server_, kMakeDir, EncodePath(path), "MKDIR");
+  Bytes args = Serialize(PathArgs{path});
+  co_return co_await StatusOp(&node_, server_, kMakeDir, std::move(args), "MKDIR");
 }
 
 sim::Task<VfsResult<void>> AfsClient::Rmdir(std::string path) {
   status_cache_.erase(path);
-  co_return co_await PathOp(&node_, server_, kRemoveDir, EncodePath(path), "RMDIR");
+  Bytes args = Serialize(PathArgs{path});
+  co_return co_await StatusOp(&node_, server_, kRemoveDir, std::move(args), "RMDIR");
 }
 
 sim::Task<VfsResult<void>> AfsClient::Link(std::string target_path,
                                            std::string new_path) {
   status_cache_.erase(new_path);
-  co_return co_await PathOp(&node_, server_, kHardLink,
-                            EncodeTwoPaths(target_path, new_path), "LINK");
+  Bytes args = Serialize(LinkArgs{target_path, new_path});
+  co_return co_await StatusOp(&node_, server_, kHardLink, std::move(args), "LINK");
 }
 
 sim::Task<VfsResult<void>> AfsClient::Rename(std::string, std::string) {
@@ -467,25 +391,14 @@ sim::Task<VfsResult<std::vector<std::string>>> AfsClient::ReadDir(
     const std::string& path) {
   rpc::CallOptions opts = AfsRpc();
   opts.label = "LISTDIR";
-  auto reply =
-      co_await node_.Call(server_, kAfsProgram, kListDir, EncodePath(path), std::move(opts));
+  Bytes args = Serialize(PathArgs{path});
+  auto reply = co_await node_.Call(server_, kAfsProgram, kListDir, std::move(args),
+                                   std::move(opts));
   if (!reply) co_return Unexpected(Status::kIo);
-  xdr::Decoder dec(*reply);
-  auto status = dec.GetU32();
-  if (!status) co_return Unexpected(Status::kIo);
-  if (static_cast<Status>(*status) != Status::kOk) {
-    co_return Unexpected(static_cast<Status>(*status));
-  }
-  auto count = dec.GetU32();
-  if (!count) co_return Unexpected(Status::kIo);
-  std::vector<std::string> names;
-  names.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto name = dec.GetString();
-    if (!name) co_return Unexpected(Status::kIo);
-    names.push_back(name->Copy());
-  }
-  co_return names;
+  auto res = Parse<ListDirRes>(*reply);
+  if (!res) co_return Unexpected(Status::kIo);
+  if (res->status != Status::kOk) co_return Unexpected(res->status);
+  co_return std::move(res->names);
 }
 
 }  // namespace gvfs::afs

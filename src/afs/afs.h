@@ -17,9 +17,11 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "kclient/vfs.h"
 #include "memfs/memfs.h"
+#include "nfs3/proto.h"
 #include "rpc/rpc.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
@@ -39,6 +41,62 @@ enum AfsProc : std::uint32_t {
   kRemoveDir = 8,
   kListDir = 9,
   kCallbackBreak = 20,  // server -> client: path's promise is void
+};
+
+// Messages. Each lists its XDR fields once, like the NFSv3 ones, and goes
+// through nfs3::Serialize/Parse. A CALLBACK_BREAK reply is empty.
+
+/// Every procedure but STOREDATA and LINK names one path; so does
+/// CALLBACK_BREAK.
+struct PathArgs {
+  std::string path;
+  static void Xdr(auto& io, auto& m) { io(m.path); }
+};
+
+struct StoreDataArgs {
+  std::string path;
+  Bytes data;  // the whole file
+  static void Xdr(auto& io, auto& m) { io(m.path, m.data); }
+};
+
+struct LinkArgs {
+  std::string target;
+  std::string new_path;
+  static void Xdr(auto& io, auto& m) { io(m.target, m.new_path); }
+};
+
+/// The reply of STOREDATA and of every namespace mutation.
+struct StatusRes {
+  nfs3::Status status = nfs3::Status::kOk;
+  static void Xdr(auto& io, auto& m) { io(m.status); }
+};
+
+struct FetchStatusRes {
+  nfs3::Status status = nfs3::Status::kOk;
+  nfs3::Fattr attr;
+  static void Xdr(auto& io, auto& m) {
+    io(m.status);
+    if (m.status == nfs3::Status::kOk) io(m.attr);
+  }
+};
+
+struct FetchDataRes {
+  nfs3::Status status = nfs3::Status::kOk;
+  nfs3::Fattr attr;
+  Bytes data;
+  static void Xdr(auto& io, auto& m) {
+    io(m.status);
+    if (m.status == nfs3::Status::kOk) io(m.attr, m.data);
+  }
+};
+
+struct ListDirRes {
+  nfs3::Status status = nfs3::Status::kOk;
+  std::vector<std::string> names;
+  static void Xdr(auto& io, auto& m) {
+    io(m.status);
+    if (m.status == nfs3::Status::kOk) io(m.names);
+  }
 };
 
 struct AfsServerStats {

@@ -45,8 +45,7 @@ struct GetInvArgs {
   /// 0 = null timestamp (bootstrap / client lost its state).
   std::uint64_t last_timestamp = 0;
 
-  void Encode(xdr::Encoder& enc) const { enc.PutU64(last_timestamp); }
-  static nfs3::DecodeResult<GetInvArgs> Decode(xdr::Decoder& dec);
+  static void Xdr(auto& io, auto& m) { io(m.last_timestamp); }
 };
 
 struct GetInvRes {
@@ -55,8 +54,7 @@ struct GetInvRes {
   bool poll_again = false;
   std::vector<nfs3::Fh> handles;
 
-  void Encode(xdr::Encoder& enc) const;
-  static nfs3::DecodeResult<GetInvRes> Decode(xdr::Decoder& dec);
+  static void Xdr(auto& io, auto& m) { io(m.new_timestamp, m.force_invalidate, m.poll_again, m.handles); }
 };
 
 // ---------------------------------------------------------------------------
@@ -73,15 +71,11 @@ struct NotifyInvArgs {
   std::uint32_t writer_host = 0;
   std::uint32_t writer_port = 0;
 
-  void Encode(xdr::Encoder& enc) const;
-  static nfs3::DecodeResult<NotifyInvArgs> Decode(xdr::Decoder& dec);
+  static void Xdr(auto& io, auto& m) { io(m.file, m.writer_host, m.writer_port); }
 };
 
 struct NotifyInvRes {
-  void Encode(xdr::Encoder&) const {}
-  static nfs3::DecodeResult<NotifyInvRes> Decode(xdr::Decoder&) {
-    return NotifyInvRes{};
-  }
+  static void Xdr(auto&, auto&) {}
 };
 
 // ---------------------------------------------------------------------------
@@ -99,8 +93,7 @@ struct MigrateArgs {
   std::uint32_t from = 0;  // policy::FileMode the caller is leaving
   std::uint32_t to = 0;    // policy::FileMode the caller is entering
 
-  void Encode(xdr::Encoder& enc) const;
-  static nfs3::DecodeResult<MigrateArgs> Decode(xdr::Decoder& dec);
+  static void Xdr(auto& io, auto& m) { io(m.file, m.from, m.to); }
 };
 
 struct MigrateRes {
@@ -112,8 +105,7 @@ struct MigrateRes {
   /// DelegationType granted under the new mode (kNone when polling).
   std::uint32_t granted = 0;
 
-  void Encode(xdr::Encoder& enc) const;
-  static nfs3::DecodeResult<MigrateRes> Decode(xdr::Decoder& dec);
+  static void Xdr(auto& io, auto& m) { io(m.status, m.drained, m.granted); }
 };
 
 // ---------------------------------------------------------------------------
@@ -133,8 +125,10 @@ struct CallbackArgs {
   std::uint64_t wanted_offset = 0;
   bool has_wanted_offset = false;
 
-  void Encode(xdr::Encoder& enc) const;
-  static nfs3::DecodeResult<CallbackArgs> Decode(xdr::Decoder& dec);
+  static void Xdr(auto& io, auto& m) {
+    io(m.file, m.type, m.has_wanted_offset);
+    if (m.has_wanted_offset) io(m.wanted_offset);
+  }
 };
 
 struct CallbackRes {
@@ -146,8 +140,7 @@ struct CallbackRes {
   /// correct size before all data lands.
   std::uint64_t file_size = 0;
 
-  void Encode(xdr::Encoder& enc) const;
-  static nfs3::DecodeResult<CallbackRes> Decode(xdr::Decoder& dec);
+  static void Xdr(auto& io, auto& m) { io(m.pending_offsets, m.file_size); }
 };
 
 // ---------------------------------------------------------------------------
@@ -155,10 +148,7 @@ struct CallbackRes {
 // ---------------------------------------------------------------------------
 
 struct RecoveryArgs {
-  void Encode(xdr::Encoder&) const {}
-  static nfs3::DecodeResult<RecoveryArgs> Decode(xdr::Decoder&) {
-    return RecoveryArgs{};
-  }
+  static void Xdr(auto&, auto&) {}
 };
 
 struct RecoveryRes {
@@ -166,8 +156,7 @@ struct RecoveryRes {
   /// server uses these to rebuild its open-file table.
   std::vector<nfs3::Fh> dirty_files;
 
-  void Encode(xdr::Encoder& enc) const;
-  static nfs3::DecodeResult<RecoveryRes> Decode(xdr::Decoder& dec);
+  static void Xdr(auto& io, auto& m) { io(m.dirty_files); }
 };
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 namespace gvfs::proxy {
 
+using nfs3::FailWith;
 using nfs3::Fh;
 using nfs3::Serialize;
 using nfs3::Status;
@@ -239,24 +240,13 @@ sim::Task<std::optional<Bytes>> ProxyClient::Upstream(std::uint32_t proc, Bytes 
   co_return body;
 }
 
-namespace {
-
-template <typename Res>
-Bytes Fault() {
-  Res res;
-  res.status = Status::kIo;
-  return Serialize(res);
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Kernel-facing handlers
 // ---------------------------------------------------------------------------
 
 sim::Task<Bytes> ProxyClient::HandleGetAttr(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::GetAttrArgs>(args);
-  if (!parsed) co_return Fault<nfs3::GetAttrRes>();
+  if (!parsed) co_return FailWith<nfs3::GetAttrRes>(Status::kIo);
   const Fh fh = parsed->object;
 
   if (AttrServable(fh)) {
@@ -278,7 +268,7 @@ sim::Task<Bytes> ProxyClient::HandleGetAttr(rpc::CallContext ctx, rpc::Body args
 
   auto body = co_await Upstream(nfs3::kGetAttr, args.ToBytes(), fh, "GETATTR",
                                 ctx.span);
-  if (!body) co_return Fault<nfs3::GetAttrRes>();
+  if (!body) co_return FailWith<nfs3::GetAttrRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::GetAttrRes>(*body);
   if (res && res->status == Status::kOk) {
     Absorb(fh, res->attr, /*own_write=*/false);
@@ -326,7 +316,7 @@ sim::Task<bool> ProxyClient::RefreshDirListing(Fh dir, trace::SpanRef parent) {
 
 sim::Task<Bytes> ProxyClient::HandleLookup(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::LookupArgs>(args);
-  if (!parsed) co_return Fault<nfs3::LookupRes>();
+  if (!parsed) co_return FailWith<nfs3::LookupRes>(Status::kIo);
   const Fh dir = parsed->dir;
   const std::string name = parsed->name;
 
@@ -380,7 +370,7 @@ sim::Task<Bytes> ProxyClient::HandleLookup(rpc::CallContext ctx, rpc::Body args)
 
   auto body = co_await Upstream(nfs3::kLookup, args.ToBytes(), dir, "LOOKUP",
                                 ctx.span);
-  if (!body) co_return Fault<nfs3::LookupRes>();
+  if (!body) co_return FailWith<nfs3::LookupRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::LookupRes>(*body);
   if (res) {
     Absorb(dir, res->dir_attr, /*own_write=*/false);
@@ -396,7 +386,7 @@ sim::Task<Bytes> ProxyClient::HandleLookup(rpc::CallContext ctx, rpc::Body args)
 
 sim::Task<Bytes> ProxyClient::HandleAccess(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::AccessArgs>(args);
-  if (!parsed) co_return Fault<nfs3::AccessRes>();
+  if (!parsed) co_return FailWith<nfs3::AccessRes>(Status::kIo);
   const Fh fh = parsed->object;
   if (AttrServable(fh)) {
     ++stats_.served_locally;
@@ -411,7 +401,7 @@ sim::Task<Bytes> ProxyClient::HandleAccess(rpc::CallContext ctx, rpc::Body args)
   }
   auto body = co_await Upstream(nfs3::kAccess, args.ToBytes(), fh, "ACCESS",
                                 ctx.span);
-  if (!body) co_return Fault<nfs3::AccessRes>();
+  if (!body) co_return FailWith<nfs3::AccessRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::AccessRes>(*body);
   if (res && res->status == Status::kOk) Absorb(fh, res->attr, false);
   co_return std::move(*body);
@@ -419,7 +409,7 @@ sim::Task<Bytes> ProxyClient::HandleAccess(rpc::CallContext ctx, rpc::Body args)
 
 sim::Task<Bytes> ProxyClient::HandleRead(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::ReadArgs>(args);
-  if (!parsed) co_return Fault<nfs3::ReadRes>();
+  if (!parsed) co_return FailWith<nfs3::ReadRes>(Status::kIo);
   const Fh fh = parsed->file;
   if (policy_ != nullptr) policy_->OnRead({fh.fsid, fh.ino});
   const std::uint32_t bs = cache_.block_size();
@@ -469,7 +459,7 @@ sim::Task<Bytes> ProxyClient::HandleRead(rpc::CallContext ctx, rpc::Body args) {
 
   auto body = co_await Upstream(nfs3::kRead, args.ToBytes(), fh, "READ",
                                 ctx.span);
-  if (!body) co_return Fault<nfs3::ReadRes>();
+  if (!body) co_return FailWith<nfs3::ReadRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::ReadRes>(*body);
   if (res && res->status == Status::kOk) {
     // Initialize the file entry's server-state tracking before absorbing the
@@ -547,7 +537,7 @@ sim::Task<void> ProxyClient::Prefetch(Fh fh, std::uint64_t index) {
 
 sim::Task<Bytes> ProxyClient::HandleWrite(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::WriteArgs>(args);
-  if (!parsed) co_return Fault<nfs3::WriteRes>();
+  if (!parsed) co_return FailWith<nfs3::WriteRes>(Status::kIo);
   const Fh fh = parsed->file;
   if (policy_ != nullptr) policy_->OnWrite({fh.fsid, fh.ino});
   const std::uint32_t bs = cache_.block_size();
@@ -637,7 +627,7 @@ sim::Task<Bytes> ProxyClient::HandleWrite(rpc::CallContext ctx, rpc::Body args) 
 
   auto body = co_await Upstream(nfs3::kWrite, args.ToBytes(), fh, "WRITE",
                                 ctx.span);
-  if (!body) co_return Fault<nfs3::WriteRes>();
+  if (!body) co_return FailWith<nfs3::WriteRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::WriteRes>(*body);
   if (res && res->status == Status::kOk) {
     if (res->attr.has_value()) {
@@ -694,7 +684,7 @@ sim::Task<void> ProxyClient::DrainAsyncWrites(Fh fh) {
 
 sim::Task<Bytes> ProxyClient::HandleCommit(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::CommitArgs>(args);
-  if (!parsed) co_return Fault<nfs3::CommitRes>();
+  if (!parsed) co_return FailWith<nfs3::CommitRes>(Status::kIo);
   const Fh fh = parsed->file;
 
   // Settle the async write-through pipeline before promising durability.
@@ -704,7 +694,7 @@ sim::Task<Bytes> ProxyClient::HandleCommit(rpc::CallContext ctx, rpc::Body args)
     // gvfs-lint: allow(iter-after-suspend): async_writes_ entries are only ever inserted, never erased; std::map iterators survive insertion
     if (aw_it->second.failed) {
       aw_it->second.failed = false;
-      co_return Fault<nfs3::CommitRes>();
+      co_return FailWith<nfs3::CommitRes>(Status::kIo);
     }
   }
 
@@ -725,17 +715,17 @@ sim::Task<Bytes> ProxyClient::HandleCommit(rpc::CallContext ctx, rpc::Body args)
 
   auto body = co_await Upstream(nfs3::kCommit, args.ToBytes(), fh, "COMMIT",
                                 ctx.span);
-  if (!body) co_return Fault<nfs3::CommitRes>();
+  if (!body) co_return FailWith<nfs3::CommitRes>(Status::kIo);
   co_return std::move(*body);
 }
 
 sim::Task<Bytes> ProxyClient::HandleCreate(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::CreateArgs>(args);
-  if (!parsed) co_return Fault<nfs3::CreateRes>();
+  if (!parsed) co_return FailWith<nfs3::CreateRes>(Status::kIo);
   const Fh dir = parsed->dir;
   auto body = co_await Upstream(nfs3::kCreate, args.ToBytes(), dir, "CREATE",
                                 ctx.span);
-  if (!body) co_return Fault<nfs3::CreateRes>();
+  if (!body) co_return FailWith<nfs3::CreateRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::CreateRes>(*body);
   if (res) {
     Absorb(dir, res->dir_attr, /*own_write=*/true);
@@ -749,11 +739,11 @@ sim::Task<Bytes> ProxyClient::HandleCreate(rpc::CallContext ctx, rpc::Body args)
 
 sim::Task<Bytes> ProxyClient::HandleMkdir(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::MkdirArgs>(args);
-  if (!parsed) co_return Fault<nfs3::MkdirRes>();
+  if (!parsed) co_return FailWith<nfs3::MkdirRes>(Status::kIo);
   const Fh dir = parsed->dir;
   auto body = co_await Upstream(nfs3::kMkdir, args.ToBytes(), dir, "MKDIR",
                                 ctx.span);
-  if (!body) co_return Fault<nfs3::MkdirRes>();
+  if (!body) co_return FailWith<nfs3::MkdirRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::MkdirRes>(*body);
   if (res) {
     Absorb(dir, res->dir_attr, /*own_write=*/true);
@@ -767,11 +757,11 @@ sim::Task<Bytes> ProxyClient::HandleMkdir(rpc::CallContext ctx, rpc::Body args) 
 
 sim::Task<Bytes> ProxyClient::HandleRemove(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::RemoveArgs>(args);
-  if (!parsed) co_return Fault<nfs3::RemoveRes>();
+  if (!parsed) co_return FailWith<nfs3::RemoveRes>(Status::kIo);
   const Fh dir = parsed->dir;
   auto body = co_await Upstream(nfs3::kRemove, args.ToBytes(), dir, "REMOVE",
                                 ctx.span);
-  if (!body) co_return Fault<nfs3::RemoveRes>();
+  if (!body) co_return FailWith<nfs3::RemoveRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::RemoveRes>(*body);
   if (res) {
     // Find the victim before Absorb advances the directory's mtime, which
@@ -789,11 +779,11 @@ sim::Task<Bytes> ProxyClient::HandleRemove(rpc::CallContext ctx, rpc::Body args)
 
 sim::Task<Bytes> ProxyClient::HandleRmdir(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::RmdirArgs>(args);
-  if (!parsed) co_return Fault<nfs3::RmdirRes>();
+  if (!parsed) co_return FailWith<nfs3::RmdirRes>(Status::kIo);
   const Fh dir = parsed->dir;
   auto body = co_await Upstream(nfs3::kRmdir, args.ToBytes(), dir, "RMDIR",
                                 ctx.span);
-  if (!body) co_return Fault<nfs3::RmdirRes>();
+  if (!body) co_return FailWith<nfs3::RmdirRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::RmdirRes>(*body);
   if (res) {
     Absorb(dir, res->dir_attr, /*own_write=*/true);
@@ -804,10 +794,10 @@ sim::Task<Bytes> ProxyClient::HandleRmdir(rpc::CallContext ctx, rpc::Body args) 
 
 sim::Task<Bytes> ProxyClient::HandleRename(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::RenameArgs>(args);
-  if (!parsed) co_return Fault<nfs3::RenameRes>();
+  if (!parsed) co_return FailWith<nfs3::RenameRes>(Status::kIo);
   auto body = co_await Upstream(nfs3::kRename, args.ToBytes(), parsed->from_dir,
                                 "RENAME", ctx.span);
-  if (!body) co_return Fault<nfs3::RenameRes>();
+  if (!body) co_return FailWith<nfs3::RenameRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::RenameRes>(*body);
   if (res) {
     Absorb(parsed->from_dir, res->from_dir_attr, /*own_write=*/true);
@@ -823,10 +813,10 @@ sim::Task<Bytes> ProxyClient::HandleRename(rpc::CallContext ctx, rpc::Body args)
 
 sim::Task<Bytes> ProxyClient::HandleLink(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::LinkArgs>(args);
-  if (!parsed) co_return Fault<nfs3::LinkRes>();
+  if (!parsed) co_return FailWith<nfs3::LinkRes>(Status::kIo);
   auto body = co_await Upstream(nfs3::kLink, args.ToBytes(), parsed->dir,
                                 "LINK", ctx.span);
-  if (!body) co_return Fault<nfs3::LinkRes>();
+  if (!body) co_return FailWith<nfs3::LinkRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::LinkRes>(*body);
   if (res) {
     Absorb(parsed->dir, res->dir_attr, /*own_write=*/true);
@@ -840,11 +830,11 @@ sim::Task<Bytes> ProxyClient::HandleLink(rpc::CallContext ctx, rpc::Body args) {
 
 sim::Task<Bytes> ProxyClient::HandleSetAttr(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::SetAttrArgs>(args);
-  if (!parsed) co_return Fault<nfs3::SetAttrRes>();
+  if (!parsed) co_return FailWith<nfs3::SetAttrRes>(Status::kIo);
   const Fh fh = parsed->object;
   auto body = co_await Upstream(nfs3::kSetAttr, args.ToBytes(), fh, "SETATTR",
                                 ctx.span);
-  if (!body) co_return Fault<nfs3::SetAttrRes>();
+  if (!body) co_return FailWith<nfs3::SetAttrRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::SetAttrRes>(*body);
   if (res && res->status == Status::kOk) {
     if (parsed->size.has_value()) cache_.DropFileData(fh);
@@ -858,7 +848,7 @@ sim::Task<Bytes> ProxyClient::HandlePassthrough(std::uint32_t proc,
                                                 rpc::Body args) {
   auto body = co_await Upstream(proc, args.ToBytes(), std::nullopt,
                                 nfs3::ProcName(proc), ctx.span);
-  if (!body) co_return Fault<nfs3::GetAttrRes>();
+  if (!body) co_return FailWith<nfs3::GetAttrRes>(Status::kIo);
   co_return std::move(*body);
 }
 

@@ -217,9 +217,7 @@ sim::Task<Bytes> ProxyServer::HandleNfs(std::uint32_t proc, rpc::CallContext ctx
                                    std::move(fwd_opts));
   if (!reply) {
     // Upstream unreachable: surface as a server fault in NFS terms.
-    nfs3::GetAttrRes fault;
-    fault.status = nfs3::Status::kServerFault;
-    co_return Serialize(fault);
+    co_return nfs3::FailWith<nfs3::GetAttrRes>(nfs3::Status::kServerFault);
   }
   Bytes body = reply->ToBytes();
 

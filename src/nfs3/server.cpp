@@ -10,14 +10,6 @@ namespace {
 
 constexpr std::uint64_t kBlockSize = 32 * 1024;
 
-/// Encodes a status-only failure reply for any result type.
-template <typename Res>
-Bytes FailWith(Status status) {
-  Res res;
-  res.status = status;
-  return Serialize(res);
-}
-
 }  // namespace
 
 Nfs3Server::Nfs3Server(sim::Scheduler& sched, memfs::MemFs& fs, rpc::RpcNode& node,

@@ -13,6 +13,9 @@
 //   - Decoder is zero-copy: GetOpaque/GetFixedOpaque/GetString return views
 //     (View / StrView) into the message buffer rather than fresh allocations.
 //     Callers that outlive the buffer take ownership explicitly via .Copy().
+//
+// Messages do not call them field by field: each lists its fields once and
+// the generic Writer/Reader at the bottom of this file run that list.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +23,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -338,6 +342,148 @@ class Decoder {
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
+};
+
+// ---------------------------------------------------------------------------
+// Field lists
+// ---------------------------------------------------------------------------
+//
+// A message declares its wire layout once, as a static member that names
+// its fields in wire order:
+//
+//   static void Xdr(auto& io, auto& m) {
+//     io(m.status, m.attr);
+//     if (m.status == Status::kOk) io(m.count, m.eof, m.data);
+//   }
+//
+// Writer runs the list over a const message and Reader over a mutable one,
+// so encoding and decoding cannot drift apart (the one-filter-per-type idea
+// of Sun's xdr_<type> routines, RFC 4506). A field encodes by its type:
+//   std::uint32_t, std::uint64_t, std::int64_t   unsigned int / hyper
+//   bool                                          bool (a value above 1 is kBadValue)
+//   enum                                          u32, cast back without validation
+//   std::string, Bytes                            variable-length opaque
+//   std::optional<T>                              presence bool, then T if present
+//   std::vector<T>                                u32 count, then each element
+//   struct with Encode/Decode                     its own fused fixed layout
+//   struct with Xdr                               its field list
+
+template <typename T>
+inline constexpr bool kIsOptional = false;
+template <typename T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+/// Encodes fields into an Encoder.
+class Writer {
+ public:
+  explicit Writer(Encoder& enc) : enc_(enc) {}
+
+  template <typename... Fields>
+  void operator()(const Fields&... fields) {
+    (Put(fields), ...);
+  }
+
+ private:
+  template <typename T>
+  void Put(const T& v) {
+    if constexpr (std::is_enum_v<T>) {
+      enc_.PutU32(static_cast<std::uint32_t>(v));
+    } else if constexpr (std::is_same_v<T, bool>) {
+      enc_.PutBool(v);
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+      enc_.PutU32(v);
+    } else if constexpr (std::is_same_v<T, std::uint64_t> ||
+                         std::is_same_v<T, std::int64_t>) {
+      enc_.PutU64(static_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      enc_.PutString(v);
+    } else if constexpr (std::is_same_v<T, Bytes>) {
+      enc_.PutOpaque(v);
+    } else if constexpr (kIsOptional<T>) {
+      enc_.PutBool(v.has_value());
+      if (v) Put(*v);
+    } else if constexpr (kIsVector<T>) {
+      enc_.PutU32(static_cast<std::uint32_t>(v.size()));
+      for (const auto& element : v) Put(element);
+    } else if constexpr (requires { v.Encode(enc_); }) {
+      v.Encode(enc_);
+    } else {
+      T::Xdr(*this, v);
+    }
+  }
+
+  Encoder& enc_;
+};
+
+/// Decodes fields from a Decoder. The first error sticks: every later field
+/// is skipped and keeps its value. Strings and opaques are copied out of the
+/// buffer.
+class Reader {
+ public:
+  explicit Reader(Decoder& dec) : dec_(dec) {}
+
+  template <typename... Fields>
+  void operator()(Fields&... fields) {
+    (Get(fields), ...);
+  }
+
+  bool ok() const { return !error_.has_value(); }
+  const std::optional<DecodeError>& error() const { return error_; }
+
+ private:
+  template <typename T>
+  void Get(T& v) {
+    if (error_) return;
+    if constexpr (std::is_enum_v<T> || std::is_same_v<T, std::uint32_t>) {
+      Take(dec_.GetU32(), v);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      Take(dec_.GetBool(), v);
+    } else if constexpr (std::is_same_v<T, std::uint64_t> ||
+                         std::is_same_v<T, std::int64_t>) {
+      Take(dec_.GetU64(), v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      auto s = dec_.GetString();
+      if (s) v.assign(s->sv);
+      else error_ = s.error();
+    } else if constexpr (std::is_same_v<T, Bytes>) {
+      auto o = dec_.GetOpaque();
+      if (o) v.assign(o->begin(), o->end());
+      else error_ = o.error();
+    } else if constexpr (kIsOptional<T>) {
+      bool present = false;
+      Get(present);
+      if (present) Get(v.emplace());
+      else v.reset();
+    } else if constexpr (kIsVector<T>) {
+      std::uint32_t count = 0;
+      Get(count);
+      // Every element takes at least 4 bytes, so a count the rest of the
+      // buffer cannot hold is a truncation, caught before reserving for it.
+      if (count > dec_.remaining() / 4) error_ = DecodeError::kTruncated;
+      if (error_) return;
+      v.clear();
+      v.reserve(count);
+      for (std::uint32_t i = 0; i < count && !error_; ++i) Get(v.emplace_back());
+    } else if constexpr (requires { T::Decode(dec_); }) {
+      Take(T::Decode(dec_), v);
+    } else {
+      T::Xdr(*this, v);
+    }
+  }
+
+  template <typename Result, typename T>
+  void Take(Result result, T& v) {
+    if (result) v = static_cast<T>(*result);
+    else error_ = result.error();
+  }
+
+  Decoder& dec_;
+  std::optional<DecodeError> error_;
 };
 
 }  // namespace gvfs::xdr

@@ -537,5 +537,23 @@ TEST(WireGolden, AfsCallbackBreakCarriesTheGoldenPath) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Hostile counts
+// ---------------------------------------------------------------------------
+
+TEST(WireHostile, ArrayCountsTheReplyCannotHoldAreRejected) {
+  // Each reply claims 2^30 elements in a buffer that holds none of them.
+  const std::string kCount = "40000000 ";
+  EXPECT_FALSE(nfs3::Parse<nfs3::ReadDirRes>(Unhex(kOk + kAbsent + kCount)));
+  EXPECT_FALSE(nfs3::Parse<proxy::GetInvRes>(
+      Unhex("0000000000000001 00000000 00000000 " + kCount)));
+  EXPECT_FALSE(nfs3::Parse<proxy::CallbackRes>(Unhex(kCount + "0000000000000000")));
+  EXPECT_FALSE(nfs3::Parse<proxy::RecoveryRes>(Unhex(kCount)));
+
+  AfsWorld w;
+  w.Answer(afs::kListDir, Unhex(kOk + kCount));
+  EXPECT_EQ(RunList(w), "NFS3ERR_IO");
+}
+
 }  // namespace
 }  // namespace gvfs

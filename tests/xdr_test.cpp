@@ -323,5 +323,72 @@ TEST(XdrFixedWindow, ReserveInterleavesWithPuts) {
   EXPECT_TRUE(dec.AtEnd());
 }
 
+// ---------------------------------------------------------------------------
+// Field lists (Writer / Reader)
+// ---------------------------------------------------------------------------
+
+enum class Color : std::uint32_t { kRed = 1, kBlue = 7 };
+
+struct Inner {
+  std::uint32_t id = 0;
+  std::string name;
+  static void Xdr(auto& io, auto& m) { io(m.id, m.name); }
+};
+
+struct Outer {
+  Color color = Color::kRed;
+  std::optional<std::int64_t> when;
+  std::vector<Inner> items;
+  Bytes blob;
+  static void Xdr(auto& io, auto& m) { io(m.color, m.when, m.items, m.blob); }
+};
+
+TEST(XdrFieldList, WriterAndReaderRunOneListBothWays) {
+  const Outer out{Color::kBlue, -2, {{1, "a"}, {2, "bcdef"}}, Bytes{9, 9, 9}};
+  Encoder enc;
+  Writer{enc}(out);
+  const Bytes wire = enc.Take();
+  // enum, present flag + hyper, count, 2 x (u32 + padded string), opaque
+  EXPECT_EQ(wire.size(), 4u + 4 + 8 + 4 + (4 + 8) + (4 + 12) + 8);
+
+  Decoder dec(wire);
+  Reader in(dec);
+  Outer back;
+  in(back);
+  ASSERT_TRUE(in.ok());
+  EXPECT_TRUE(dec.AtEnd());
+  EXPECT_EQ(back.color, Color::kBlue);
+  EXPECT_EQ(back.when, std::optional<std::int64_t>(-2));
+  ASSERT_EQ(back.items.size(), 2u);
+  EXPECT_EQ(back.items[1].name, "bcdef");
+  EXPECT_EQ(back.blob, (Bytes{9, 9, 9}));
+}
+
+TEST(XdrFieldList, ReaderKeepsTheFirstError) {
+  // A bool of 2 is kBadValue; nothing after it is read.
+  const Bytes wire = {0, 0, 0, 2, 0, 0, 0, 7};
+  Decoder dec(wire);
+  Reader in(dec);
+  bool flag = false;
+  std::uint32_t next = 0;
+  in(flag, next);
+  ASSERT_FALSE(in.ok());
+  EXPECT_EQ(*in.error(), DecodeError::kBadValue);
+  EXPECT_EQ(next, 0u);
+  EXPECT_EQ(dec.pos(), 4u);
+}
+
+TEST(XdrFieldList, ArrayCountTheBufferCannotHoldIsTruncatedBeforeReserving) {
+  // Three elements claimed with 8 bytes left; each takes at least 4.
+  const Bytes wire = {0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 2};
+  Decoder dec(wire);
+  Reader in(dec);
+  std::vector<std::uint32_t> v;
+  in(v);
+  ASSERT_FALSE(in.ok());
+  EXPECT_EQ(*in.error(), DecodeError::kTruncated);
+  EXPECT_EQ(v.capacity(), 0u);
+}
+
 }  // namespace
 }  // namespace gvfs::xdr
