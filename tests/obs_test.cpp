@@ -461,6 +461,50 @@ TEST(DoctorReport, FilesAreTheNonzeroHandlesEventsName) {
   EXPECT_EQ(files, named);
 }
 
+/// The timeline Diagnose reports for file 5:`ino`.
+doctor::FileTimeline TimelineOf(const obs::DumpFile& dump, std::uint64_t ino) {
+  for (const auto& f : doctor::Diagnose(dump).files) {
+    if (f.fsid == 5 && f.ino == ino) return f;
+  }
+  ADD_FAILURE() << "no timeline for 5:" << ino;
+  return {};
+}
+
+TEST(DoctorReport, CountsEachDelegationFactOnce) {
+  // The server records a grant and a recall; the grantee records storing
+  // the grant and receiving the recall. That is one grant and one recall.
+  using trace::EventType;
+  obs::DumpFile dump;
+  dump.trace = trace::TraceBuffer(16);
+  SimTime clock = 0;
+  trace::Tracer tracer(&dump.trace, &clock);
+  tracer.Deleg(EventType::kDelegGrant, 0, 5, 50, 1, 1, trace::kDelegFlagServerSide, 0);
+  tracer.Deleg(EventType::kDelegGrant, 1, 5, 50, 1, 0, 0, 0);
+  tracer.Deleg(EventType::kDelegRecall, 0, 5, 50, 1, 1, trace::kDelegFlagServerSide, 0);
+  tracer.Deleg(EventType::kDelegRecall, 1, 5, 50, 1, 0, 0, 0);
+  const doctor::FileTimeline tl = TimelineOf(dump, 50);
+  EXPECT_EQ(tl.grants, 1u);
+  EXPECT_EQ(tl.recalls, 1u);
+}
+
+TEST(DoctorReport, MigrateDrainIsNotAnAppliedInvalidation) {
+  // Server 0 buffers two entries for client 1. The client applies one from
+  // a poll; the server drains the other during a MIGRATE, which it records
+  // as INV_POLL on its own host. One invalidation was applied.
+  using trace::EventType;
+  obs::DumpFile dump;
+  dump.trace = trace::TraceBuffer(16);
+  SimTime clock = 0;
+  trace::Tracer tracer(&dump.trace, &clock);
+  tracer.Inv(EventType::kInvAppend, 0, 5, 60, 1001, 1, 1);
+  tracer.Inv(EventType::kInvAppend, 0, 5, 60, 1002, 1, 1);
+  tracer.Inv(EventType::kInvPoll, 1, 5, 60, 1001, 1, 0);
+  tracer.Inv(EventType::kInvPoll, 0, 5, 60, 1002, 1, 1);
+  const doctor::FileTimeline tl = TimelineOf(dump, 60);
+  EXPECT_EQ(tl.invs_buffered, 2u);
+  EXPECT_EQ(tl.invs_applied, 1u);
+}
+
 TEST(DumpFormat, RejectsUnknownEventType) {
   JsonParser parser;
   const JsonValue doc =

@@ -186,6 +186,8 @@ DoctorReport Diagnose(const obs::DumpFile& dump) {
   struct Accum {
     FileTimeline tl;
     std::deque<std::string> tail;
+    std::set<std::uint32_t> append_hosts;  // hosts that buffered an entry
+    std::map<std::uint32_t, std::uint64_t> polls;  // kInvPoll count per host
   };
   std::map<std::pair<std::uint64_t, std::uint64_t>, Accum> files;
   for (std::size_t i = 0; i < dump.trace.size(); ++i) {
@@ -198,16 +200,18 @@ DoctorReport Diagnose(const obs::DumpFile& dump) {
     ++acc.tl.events;
     switch (ev.type) {
       case EventType::kDelegGrant:
-        ++acc.tl.grants;
-        break;
       case EventType::kDelegRecall:
-        ++acc.tl.recalls;
+        // Both ends of the protocol record these; count each once, from the
+        // server's side (migrations count the client's).
+        if ((ev.u.deleg.flags & trace::kDelegFlagServerSide) == 0) break;
+        ++(ev.type == EventType::kDelegGrant ? acc.tl.grants : acc.tl.recalls);
         break;
       case EventType::kInvAppend:
         ++acc.tl.invs_buffered;
+        acc.append_hosts.insert(ev.host);
         break;
       case EventType::kInvPoll:
-        ++acc.tl.invs_applied;
+        ++acc.polls[ev.host];
         break;
       case EventType::kPolicyMigrate:
         if ((ev.u.policy.flags & trace::kPolicyFlagServerSide) == 0) {
@@ -238,6 +242,11 @@ DoctorReport Diagnose(const obs::DumpFile& dump) {
   }
 
   for (auto& [key, acc] : files) {
+    // A kInvPoll on the host that buffered the file's entries is a MIGRATE
+    // drain on the server, not a client applying an invalidation.
+    for (const auto& [host, count] : acc.polls) {
+      if (acc.append_hosts.count(host) == 0) acc.tl.invs_applied += count;
+    }
     acc.tl.tail.assign(acc.tail.begin(), acc.tail.end());
     report.files.push_back(std::move(acc.tl));
   }

@@ -37,10 +37,10 @@ struct FileTimeline {
   std::uint64_t fsid = 0;
   std::uint64_t ino = 0;
   std::uint64_t events = 0;  // all trace events touching this file
-  std::uint64_t grants = 0;
-  std::uint64_t recalls = 0;
+  std::uint64_t grants = 0;         // server-side kDelegGrant
+  std::uint64_t recalls = 0;        // server-side kDelegRecall
   std::uint64_t invs_buffered = 0;  // kInvAppend
-  std::uint64_t invs_applied = 0;   // kInvPoll
+  std::uint64_t invs_applied = 0;   // kInvPoll on a host that buffered none
   std::uint64_t migrations = 0;     // client-side kPolicyMigrate
   /// Named by a violation or a file-scoped anomaly.
   bool flagged = false;
