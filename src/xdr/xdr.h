@@ -148,7 +148,9 @@ class Encoder {
   void PutFixedOpaque(const std::uint8_t* data, std::size_t len) {
     const std::size_t padded = (len + 3) & ~std::size_t{3};
     std::uint8_t* p = Grow(padded);
-    std::memcpy(p, data, len);
+    // An empty vector's data() may be null, and memcpy from null is
+    // undefined even for zero bytes.
+    if (len != 0) std::memcpy(p, data, len);
     std::memset(p + len, 0, padded - len);
   }
 
