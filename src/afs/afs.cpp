@@ -83,7 +83,7 @@ sim::Task<void> AfsServer::BreakPromises(std::string path, net::Address mutator)
   if (it == promises_.end()) co_return;
   std::vector<net::Address> holders(it->second.begin(), it->second.end());
   it->second.clear();
-  // Request bytes are built outside co_await expressions: GCC 12 mishandles
+  // Request bytes are built outside co_await expressions: GCC 12 corrupts
   // aggregate temporaries that live across a suspension (DESIGN.md §6).
   const Bytes args = Serialize(PathArgs{path});
   for (const auto& holder : holders) {
