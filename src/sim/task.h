@@ -34,7 +34,10 @@ struct FrameArena {
   static constexpr std::size_t kBuckets = kMaxPooled / kGranule;
 
   static std::vector<void*>* Pools() {
-    static std::vector<void*> pools[kBuckets];
+    // Never destroyed, so pooled frames stay reachable at exit: a static
+    // array's destructor would free the lists before LeakSanitizer's exit
+    // scan, which then reported every pooled frame as leaked.
+    static auto* pools = new std::vector<void*>[kBuckets];
     return pools;
   }
 
