@@ -54,7 +54,9 @@ struct GetInvRes {
   bool poll_again = false;
   std::vector<nfs3::Fh> handles;
 
-  static void Xdr(auto& io, auto& m) { io(m.new_timestamp, m.force_invalidate, m.poll_again, m.handles); }
+  static void Xdr(auto& io, auto& m) {
+    io(m.new_timestamp, m.force_invalidate, m.poll_again, m.handles);
+  }
 };
 
 // ---------------------------------------------------------------------------
