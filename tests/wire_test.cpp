@@ -265,6 +265,56 @@ TEST(WireGolden, EveryGvfsMessageEncodesToItsGoldenBytes) {
 }
 
 // ---------------------------------------------------------------------------
+// wire_size: what each message costs the simulated link
+// ---------------------------------------------------------------------------
+
+/// What an RPC handler returns.
+using HandlerReply = rpc::Handler::result_type;
+
+HandlerReply AnswerWith(Bytes reply) { co_return reply; }
+
+/// Sends each row's bytes once as a call and once as a reply between two
+/// nodes over a WAN link, and checks what the link carried each way: the
+/// 40-byte call or 12-byte reply header, the body's 4-byte length, the body
+/// padded to 4 bytes, and 100 bytes of UDP/IP and AUTH_SYS overhead. The
+/// body arrives byte for byte.
+void CheckWireSizes(const std::vector<Golden>& table) {
+  constexpr std::uint32_t kProg = 0x20000001;
+  for (const Golden& row : table) {
+    SCOPED_TRACE(row.name);
+    sim::Scheduler sched;
+    net::Network network(sched);
+    rpc::Domain domain(sched, network);
+    const HostId a = network.AddHost("a");
+    const HostId b = network.AddHost("b");
+    network.Connect(a, b, net::LinkConfig{Milliseconds(20), 4'000'000});
+    rpc::RpcNode& caller = domain.CreateNode(a, 1, "caller");
+    rpc::RpcNode& callee = domain.CreateNode(b, 1, "callee");
+    const Bytes wire = Unhex(row.hex);
+    Bytes received;
+    callee.RegisterHandler(kProg, 1,
+                           [wire, &received](rpc::CallContext, rpc::Body args) {
+                             received.assign(args.data(), args.data() + args.size());
+                             return AnswerWith(wire);
+                           });
+    auto reply = testutil::RunTask(
+        sched, caller.Call(callee.address(), kProg, 1, wire, rpc::CallOptions{}));
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(Hex(received), Hex(wire));
+    EXPECT_EQ(Hex(*reply), Hex(wire));
+    const std::uint64_t padded = (wire.size() + 3) & ~std::uint64_t{3};
+    EXPECT_EQ(network.StatsFor(a, b).packets, 1u);
+    EXPECT_EQ(network.StatsFor(a, b).bytes, 40 + 4 + padded + 100);
+    EXPECT_EQ(network.StatsFor(b, a).packets, 1u);
+    EXPECT_EQ(network.StatsFor(b, a).bytes, 12 + 4 + padded + 100);
+  }
+}
+
+TEST(WireGolden, EveryNfsMessageCostsItsWireSize) { CheckWireSizes(NfsTable()); }
+
+TEST(WireGolden, EveryGvfsMessageCostsItsWireSize) { CheckWireSizes(GvfsTable()); }
+
+// ---------------------------------------------------------------------------
 // AFS
 // ---------------------------------------------------------------------------
 
