@@ -36,19 +36,17 @@ void DiskCache::ObserveMtime(const nfs3::Fh& fh, SimTime mtime, std::uint64_t si
   auto it = files_.find(fh);
   if (it == files_.end()) return;
   if (!own_write && mtime != it->second.mtime_seen) {
-    auto& blocks = it->second.blocks;
-    for (auto b = blocks.begin(); b != blocks.end();) {
-      if (!b->second.dirty) {
-        cached_bytes_ -= b->second.data.size();
-        b = blocks.erase(b);
-      } else {
-        ++b;
-      }
-    }
+    DropCleanBlocks(it->second);
     it->second.size_seen = size;
   }
   it->second.mtime_seen = mtime;
   if (own_write) it->second.size_seen = std::max(it->second.size_seen, size);
+}
+
+const nfs3::Fh* DiskCache::RecordedLookup(const nfs3::Fh& dir,
+                                          const std::string& name) const {
+  auto it = lookups_.find({dir, name});
+  return it == lookups_.end() ? nullptr : &it->second.child;
 }
 
 const nfs3::Fh* DiskCache::ValidLookup(const nfs3::Fh& dir,
@@ -125,6 +123,24 @@ void DiskCache::DropFileData(const nfs3::Fh& fh) {
     cached_bytes_ -= block.data.size();
   }
   files_.erase(it);
+}
+
+void DiskCache::DropCleanData(const nfs3::Fh& fh) {
+  auto it = files_.find(fh);
+  if (it == files_.end()) return;
+  DropCleanBlocks(it->second);
+  if (it->second.blocks.empty()) files_.erase(it);
+}
+
+void DiskCache::DropCleanBlocks(FileEntry& file) {
+  for (auto b = file.blocks.begin(); b != file.blocks.end();) {
+    if (!b->second.dirty) {
+      cached_bytes_ -= b->second.data.size();
+      b = file.blocks.erase(b);
+    } else {
+      ++b;
+    }
+  }
 }
 
 void DiskCache::MarkClean(const nfs3::Fh& fh, std::uint64_t index) {

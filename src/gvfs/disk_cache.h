@@ -68,6 +68,9 @@ class DiskCache {
   /// Valid only while the directory's attr entry is valid AND its mtime
   /// still matches what the entry saw (like the kernel dnlc).
   const nfs3::Fh* ValidLookup(const nfs3::Fh& dir, const std::string& name) const;
+  /// The handle last recorded under (dir, name), however stale; nullptr if
+  /// none was.
+  const nfs3::Fh* RecordedLookup(const nfs3::Fh& dir, const std::string& name) const;
   void StoreLookup(const nfs3::Fh& dir, const std::string& name, const nfs3::Fh& child);
   void DropLookup(const nfs3::Fh& dir, const std::string& name);
   /// True if any (possibly stale) name entries are recorded under `dir`.
@@ -85,6 +88,8 @@ class DiskCache {
   void WriteIntoBlock(const nfs3::Fh& fh, std::uint64_t index,
                       std::uint64_t in_block, const Bytes& data);
   void DropFileData(const nfs3::Fh& fh);
+  /// Drops a file's clean blocks, and its entry once no dirty block is left.
+  void DropCleanData(const nfs3::Fh& fh);
   /// Clears a block's dirty flag after successful write-back.
   void MarkClean(const nfs3::Fh& fh, std::uint64_t index);
 
@@ -112,6 +117,8 @@ class DiskCache {
   std::uint64_t CachedBytes() const { return cached_bytes_; }
 
  private:
+  void DropCleanBlocks(FileEntry& file);
+
   std::uint32_t block_size_;
   struct LookupEntry {
     nfs3::Fh child;

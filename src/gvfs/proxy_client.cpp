@@ -768,9 +768,17 @@ sim::Task<Bytes> ProxyClient::HandleRemove(rpc::CallContext ctx, rpc::Body args)
     // makes every lookup under it stale.
     const Fh* cached = cache_.ValidLookup(dir, parsed->name);
     const Fh victim = cached != nullptr ? *cached : kNegative;
+    // The handle last recorded under the name, however stale, names the
+    // file whose blocks the REMOVE orphaned. memfs never reuses an inode
+    // number, so a wrong guess costs at most a refetch.
+    const Fh* recorded = cache_.RecordedLookup(dir, parsed->name);
+    const Fh last = recorded != nullptr ? *recorded : kNegative;
     Absorb(dir, res->dir_attr, /*own_write=*/true);
     if (res->status == Status::kOk) {
       if (victim.valid()) cache_.InvalidateAttr(victim);
+      const DiskCache::AttrEntry* attr =
+          last.valid() ? cache_.AnyAttr(last) : nullptr;
+      if (attr != nullptr && attr->attr.nlink <= 1) cache_.DropCleanData(last);
       cache_.StoreLookup(dir, parsed->name, kNegative);
     }
   }

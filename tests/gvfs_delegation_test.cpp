@@ -327,5 +327,51 @@ TEST_F(DelegationTest, ConcurrentReadersBothGetDelegations) {
   EXPECT_EQ(session.stats->Calls("GETATTR"), wan);
 }
 
+/// perfbench postmark-deleg's session: delegation, write-through, a write
+/// window of 8, read-ahead of 8 blocks.
+SessionConfig PostmarkConfig() {
+  SessionConfig config;
+  config.model = ConsistencyModel::kDelegationCallback;
+  config.cache_mode = CacheMode::kReadOnly;
+  config.wb_window = 8;
+  config.read_ahead = 8;
+  return config;
+}
+
+void WriteFile(Testbed& bed, kclient::KernelClient& mount, const std::string& path,
+               std::size_t size) {
+  auto fd = RunTask(bed.sched(), mount.Open(path, kCreateWrite));
+  ASSERT_TRUE(fd.has_value());
+  const Bytes data(size, 7);
+  if (size > 0) {
+    ASSERT_TRUE(RunTask(bed.sched(), mount.Write(*fd, 0, data)).has_value());
+  }
+  ASSERT_TRUE(RunTask(bed.sched(), mount.Close(*fd)).has_value());
+}
+
+TEST_F(DelegationTest, RemoveReclaimsTheVictimsBlocksThroughAStaleLookup) {
+  // Creating /g after /f makes the proxy's lookup of /f stale, as the
+  // creates and removes of a PostMark run do; the REMOVE still finds the
+  // victim by the handle last recorded under its name.
+  auto& session = bed_.CreateSession(PostmarkConfig(), {0}, NoacKernel());
+  WriteFile(bed_, session.mount(0), "/f", 64 * 1024);
+  const std::uint64_t cached = session.proxy(0).cache().CachedBytes();
+  EXPECT_EQ(cached, 64u * 1024);
+  WriteFile(bed_, session.mount(0), "/g", 0);
+  ASSERT_TRUE(RunTask(bed_.sched(), session.mount(0).Unlink("/f")).has_value());
+  EXPECT_EQ(session.proxy(0).cache().CachedBytes(), cached - 64 * 1024);
+}
+
+TEST_F(DelegationTest, RemoveKeepsTheBlocksOfAVictimLinkedElsewhere) {
+  auto& session = bed_.CreateSession(PostmarkConfig(), {0}, NoacKernel());
+  WriteFile(bed_, session.mount(0), "/f", 64 * 1024);
+  ASSERT_TRUE(RunTask(bed_.sched(), session.mount(0).Link("/f", "/h")).has_value());
+  WriteFile(bed_, session.mount(0), "/g", 0);
+  const std::uint64_t cached = session.proxy(0).cache().CachedBytes();
+  EXPECT_EQ(cached, 64u * 1024);
+  ASSERT_TRUE(RunTask(bed_.sched(), session.mount(0).Unlink("/f")).has_value());
+  EXPECT_EQ(session.proxy(0).cache().CachedBytes(), cached);
+}
+
 }  // namespace
 }  // namespace gvfs::workloads
