@@ -34,7 +34,7 @@ void BM_XdrDecodeFattr(benchmark::State& state) {
   attr.size = 123456;
   xdr::Encoder enc;
   attr.Encode(enc);
-  Bytes wire = enc.Take();
+  const Buf wire = enc.Take();
   for (auto _ : state) {
     xdr::Decoder dec(wire);
     auto decoded = nfs3::Fattr::Decode(dec);

@@ -23,7 +23,7 @@ constexpr rpc::CallOptions AfsRpc() {
 
 /// One request whose reply is a bare status.
 sim::Task<VfsResult<void>> StatusOp(rpc::RpcNode* node, net::Address server,
-                                    AfsProc proc, Bytes args, const char* label) {
+                                    AfsProc proc, Buf args, const char* label) {
   rpc::CallOptions opts = AfsRpc();
   opts.label = label;
   auto reply = co_await node->Call(server, kAfsProgram, proc, std::move(args), std::move(opts));
@@ -43,7 +43,7 @@ sim::Task<VfsResult<void>> StatusOp(rpc::RpcNode* node, net::Address server,
 AfsServer::AfsServer(sim::Scheduler& sched, memfs::MemFs& fs, rpc::RpcNode& node)
     : sched_(sched), fs_(fs), node_(node) {
   auto bind = [this, &node](AfsProc proc,
-                            sim::Task<Bytes> (AfsServer::*method)(rpc::CallContext,
+                            sim::Task<Buf> (AfsServer::*method)(rpc::CallContext,
                                                                   rpc::Body)) {
     node.RegisterHandler(kAfsProgram, proc,
                          [this, method](rpc::CallContext ctx, rpc::Body args) {
@@ -85,7 +85,7 @@ sim::Task<void> AfsServer::BreakPromises(std::string path, net::Address mutator)
   it->second.clear();
   // Request bytes are built outside co_await expressions: GCC 12 corrupts
   // aggregate temporaries that live across a suspension (DESIGN.md §6).
-  const Bytes args = Serialize(PathArgs{path});
+  const Buf args = Serialize(PathArgs{path});
   for (const auto& holder : holders) {
     if (holder == mutator) continue;
     ++stats_.callback_breaks;
@@ -97,7 +97,7 @@ sim::Task<void> AfsServer::BreakPromises(std::string path, net::Address mutator)
   }
 }
 
-sim::Task<Bytes> AfsServer::HandleFetchStatus(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> AfsServer::HandleFetchStatus(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.fetches;
   auto req = Parse<PathArgs>(args);
   if (!req) co_return FailWith<FetchStatusRes>(Status::kInval);
@@ -109,7 +109,7 @@ sim::Task<Bytes> AfsServer::HandleFetchStatus(rpc::CallContext ctx, rpc::Body ar
   co_return Serialize(FetchStatusRes{Status::kOk, nfs3::ToFattr(*attr)});
 }
 
-sim::Task<Bytes> AfsServer::HandleFetchData(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> AfsServer::HandleFetchData(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.fetches;
   auto req = Parse<PathArgs>(args);
   if (!req) co_return FailWith<FetchDataRes>(Status::kInval);
@@ -118,13 +118,13 @@ sim::Task<Bytes> AfsServer::HandleFetchData(rpc::CallContext ctx, rpc::Body args
   if (!ino) co_return FailWith<FetchDataRes>(FromFsError(ino.error()));
   auto attr = fs_.GetAttr(*ino);
   if (!attr) co_return FailWith<FetchDataRes>(FromFsError(attr.error()));
-  auto data = fs_.Read(*ino, 0, static_cast<std::uint32_t>(attr->size));
+  auto data = fs_.ReadShared(*ino, 0, static_cast<std::uint32_t>(attr->size));
   if (!data) co_return FailWith<FetchDataRes>(FromFsError(data.error()));
   co_return Serialize(
       FetchDataRes{Status::kOk, nfs3::ToFattr(*attr), std::move(data->data)});
 }
 
-sim::Task<Bytes> AfsServer::HandleStoreData(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> AfsServer::HandleStoreData(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.stores;
   auto req = Parse<StoreDataArgs>(args);
   if (!req) co_return FailWith<StatusRes>(Status::kInval);
@@ -139,7 +139,7 @@ sim::Task<Bytes> AfsServer::HandleStoreData(rpc::CallContext ctx, rpc::Body args
   co_return Serialize(StatusRes{});
 }
 
-sim::Task<Bytes> AfsServer::HandleCreate(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> AfsServer::HandleCreate(rpc::CallContext ctx, rpc::Body args) {
   auto req = Parse<PathArgs>(args);
   if (!req) co_return FailWith<StatusRes>(Status::kInval);
   const std::string p = std::move(req->path);
@@ -152,7 +152,7 @@ sim::Task<Bytes> AfsServer::HandleCreate(rpc::CallContext ctx, rpc::Body args) {
   co_return Serialize(StatusRes{});
 }
 
-sim::Task<Bytes> AfsServer::HandleRemove(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> AfsServer::HandleRemove(rpc::CallContext ctx, rpc::Body args) {
   auto req = Parse<PathArgs>(args);
   if (!req) co_return FailWith<StatusRes>(Status::kInval);
   const std::string p = std::move(req->path);
@@ -165,7 +165,7 @@ sim::Task<Bytes> AfsServer::HandleRemove(rpc::CallContext ctx, rpc::Body args) {
   co_return Serialize(StatusRes{});
 }
 
-sim::Task<Bytes> AfsServer::HandleLink(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> AfsServer::HandleLink(rpc::CallContext ctx, rpc::Body args) {
   auto req = Parse<LinkArgs>(args);
   if (!req) co_return FailWith<StatusRes>(Status::kInval);
   const std::string np = std::move(req->new_path);
@@ -180,7 +180,7 @@ sim::Task<Bytes> AfsServer::HandleLink(rpc::CallContext ctx, rpc::Body args) {
   co_return Serialize(StatusRes{});
 }
 
-sim::Task<Bytes> AfsServer::HandleMkdir(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> AfsServer::HandleMkdir(rpc::CallContext ctx, rpc::Body args) {
   auto req = Parse<PathArgs>(args);
   if (!req) co_return FailWith<StatusRes>(Status::kInval);
   auto parent = Parent(req->path);
@@ -191,7 +191,7 @@ sim::Task<Bytes> AfsServer::HandleMkdir(rpc::CallContext ctx, rpc::Body args) {
   co_return Serialize(StatusRes{});
 }
 
-sim::Task<Bytes> AfsServer::HandleRmdir(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> AfsServer::HandleRmdir(rpc::CallContext ctx, rpc::Body args) {
   auto req = Parse<PathArgs>(args);
   if (!req) co_return FailWith<StatusRes>(Status::kInval);
   auto parent = Parent(req->path);
@@ -202,7 +202,7 @@ sim::Task<Bytes> AfsServer::HandleRmdir(rpc::CallContext ctx, rpc::Body args) {
   co_return Serialize(StatusRes{});
 }
 
-sim::Task<Bytes> AfsServer::HandleListDir(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> AfsServer::HandleListDir(rpc::CallContext ctx, rpc::Body args) {
   auto req = Parse<PathArgs>(args);
   if (!req) co_return FailWith<ListDirRes>(Status::kInval);
   const std::string& p = req->path;
@@ -229,14 +229,14 @@ AfsClient::AfsClient(sim::Scheduler& sched, rpc::RpcNode& node, net::Address ser
                        });
 }
 
-sim::Task<Bytes> AfsClient::HandleCallbackBreak(rpc::CallContext, rpc::Body args) {
+sim::Task<Buf> AfsClient::HandleCallbackBreak(rpc::CallContext, rpc::Body args) {
   ++breaks_received_;
   if (auto req = Parse<PathArgs>(args)) {
     status_cache_.erase(req->path);
     auto file = file_cache_.find(req->path);
     if (file != file_cache_.end()) file->second.valid = false;
   }
-  co_return Bytes{};
+  co_return Buf{};
 }
 
 sim::Task<VfsResult<AfsClient::CachedStatus>> AfsClient::FetchStatus(
@@ -248,7 +248,7 @@ sim::Task<VfsResult<AfsClient::CachedStatus>> AfsClient::FetchStatus(
   }
   rpc::CallOptions opts = AfsRpc();
   opts.label = "FETCHSTATUS";
-  Bytes args = Serialize(PathArgs{path});
+  Buf args = Serialize(PathArgs{path});
   auto reply = co_await node_.Call(server_, kAfsProgram, kFetchStatus, std::move(args),
                                    std::move(opts));
   if (!reply) co_return Unexpected(Status::kIo);
@@ -271,7 +271,7 @@ sim::Task<VfsResult<Fd>> AfsClient::Open(std::string path, OpenFlags flags) {
 
   if (!status->exists) {
     if (!flags.create) co_return Unexpected(Status::kNoEnt);
-    Bytes args = Serialize(PathArgs{path});
+    Buf args = Serialize(PathArgs{path});
     auto created = co_await StatusOp(&node_, server_, kCreateFile, std::move(args), "CREATE");
     if (!created) co_return Unexpected(created.error());
     status_cache_.erase(path);
@@ -284,7 +284,7 @@ sim::Task<VfsResult<Fd>> AfsClient::Open(std::string path, OpenFlags flags) {
     if (cached == file_cache_.end() || !cached->second.valid) {
       rpc::CallOptions opts = AfsRpc();
       opts.label = "FETCHDATA";
-      Bytes args = Serialize(PathArgs{path});
+      Buf args = Serialize(PathArgs{path});
       auto reply = co_await node_.Call(server_, kAfsProgram, kFetchData, std::move(args),
                                        std::move(opts));
       if (!reply) co_return Unexpected(Status::kIo);
@@ -296,7 +296,7 @@ sim::Task<VfsResult<Fd>> AfsClient::Open(std::string path, OpenFlags flags) {
   }
 
   if (flags.truncate) {
-    file_cache_[path].data.clear();
+    file_cache_[path].data = Buf();
   }
   const Fd fd = next_fd_++;
   open_files_[fd] = OpenFile{path, flags.write, flags.truncate};
@@ -312,7 +312,7 @@ sim::Task<VfsResult<void>> AfsClient::Close(Fd fd) {
     // Store-on-close: ship the whole file back.
     rpc::CallOptions opts = AfsRpc();
     opts.label = "STOREDATA";
-    Bytes args = Serialize(StoreDataArgs{file.path, file_cache_[file.path].data});
+    Buf args = Serialize(StoreDataArgs{file.path, file_cache_[file.path].data});
     auto reply = co_await node_.Call(server_, kAfsProgram, kStoreData, std::move(args),
                                      std::move(opts));
     if (!reply) co_return Unexpected(Status::kIo);
@@ -325,7 +325,7 @@ sim::Task<VfsResult<Bytes>> AfsClient::Read(Fd fd, std::uint64_t offset,
                                             std::uint32_t count) {
   auto it = open_files_.find(fd);
   if (it == open_files_.end()) co_return Unexpected(Status::kInval);
-  const Bytes& data = file_cache_[it->second.path].data;
+  const Buf& data = file_cache_[it->second.path].data;
   if (offset >= data.size()) co_return Bytes{};
   const std::uint64_t end = std::min<std::uint64_t>(offset + count, data.size());
   co_return Bytes(data.begin() + static_cast<std::ptrdiff_t>(offset),
@@ -337,10 +337,7 @@ sim::Task<VfsResult<std::uint32_t>> AfsClient::Write(Fd fd, std::uint64_t offset
   auto it = open_files_.find(fd);
   if (it == open_files_.end()) co_return Unexpected(Status::kInval);
   if (!it->second.writable) co_return Unexpected(Status::kAccess);
-  Bytes& dst = file_cache_[it->second.path].data;
-  if (dst.size() < offset + data.size()) dst.resize(offset + data.size(), 0);
-  std::copy(data.begin(), data.end(),
-            dst.begin() + static_cast<std::ptrdiff_t>(offset));
+  file_cache_[it->second.path].data.Write(offset, data);
   it->second.dirty = true;
   co_return static_cast<std::uint32_t>(data.size());
 }
@@ -361,25 +358,25 @@ sim::Task<VfsResult<bool>> AfsClient::Exists(std::string path) {
 sim::Task<VfsResult<void>> AfsClient::Unlink(std::string path) {
   status_cache_.erase(path);
   file_cache_.erase(path);
-  Bytes args = Serialize(PathArgs{path});
+  Buf args = Serialize(PathArgs{path});
   co_return co_await StatusOp(&node_, server_, kRemoveFile, std::move(args), "REMOVE");
 }
 
 sim::Task<VfsResult<void>> AfsClient::Mkdir(std::string path) {
-  Bytes args = Serialize(PathArgs{path});
+  Buf args = Serialize(PathArgs{path});
   co_return co_await StatusOp(&node_, server_, kMakeDir, std::move(args), "MKDIR");
 }
 
 sim::Task<VfsResult<void>> AfsClient::Rmdir(std::string path) {
   status_cache_.erase(path);
-  Bytes args = Serialize(PathArgs{path});
+  Buf args = Serialize(PathArgs{path});
   co_return co_await StatusOp(&node_, server_, kRemoveDir, std::move(args), "RMDIR");
 }
 
 sim::Task<VfsResult<void>> AfsClient::Link(std::string target_path,
                                            std::string new_path) {
   status_cache_.erase(new_path);
-  Bytes args = Serialize(LinkArgs{target_path, new_path});
+  Buf args = Serialize(LinkArgs{target_path, new_path});
   co_return co_await StatusOp(&node_, server_, kHardLink, std::move(args), "LINK");
 }
 
@@ -391,7 +388,7 @@ sim::Task<VfsResult<std::vector<std::string>>> AfsClient::ReadDir(
     const std::string& path) {
   rpc::CallOptions opts = AfsRpc();
   opts.label = "LISTDIR";
-  Bytes args = Serialize(PathArgs{path});
+  Buf args = Serialize(PathArgs{path});
   auto reply = co_await node_.Call(server_, kAfsProgram, kListDir, std::move(args),
                                    std::move(opts));
   if (!reply) co_return Unexpected(Status::kIo);

@@ -55,7 +55,7 @@ struct PathArgs {
 
 struct StoreDataArgs {
   std::string path;
-  Bytes data;  // the whole file
+  Buf data;  // the whole file
   static void Xdr(auto& io, auto& m) { io(m.path, m.data); }
 };
 
@@ -83,7 +83,7 @@ struct FetchStatusRes {
 struct FetchDataRes {
   nfs3::Status status = nfs3::Status::kOk;
   nfs3::Fattr attr;
-  Bytes data;
+  Buf data;
   static void Xdr(auto& io, auto& m) {
     io(m.status);
     if (m.status == nfs3::Status::kOk) io(m.attr, m.data);
@@ -114,15 +114,15 @@ class AfsServer {
   const AfsServerStats& stats() const { return stats_; }
 
  private:
-  sim::Task<Bytes> HandleFetchStatus(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleFetchData(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleStoreData(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleCreate(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRemove(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleLink(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleMkdir(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRmdir(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleListDir(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleFetchStatus(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleFetchData(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleStoreData(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleCreate(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleRemove(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleLink(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleMkdir(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleRmdir(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleListDir(rpc::CallContext ctx, rpc::Body args);
 
   void AddPromise(const std::string& path, net::Address client);
   /// Breaks every other client's promise on `path` (awaited: AFS breaks
@@ -175,7 +175,7 @@ class AfsClient : public kclient::Vfs {
   };
 
   struct CachedFile {
-    Bytes data;
+    Buf data;
     bool valid = false;
   };
 
@@ -185,7 +185,7 @@ class AfsClient : public kclient::Vfs {
     bool dirty = false;
   };
 
-  sim::Task<Bytes> HandleCallbackBreak(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleCallbackBreak(rpc::CallContext ctx, rpc::Body args);
   /// Status via cache or FETCHSTATUS RPC. nullopt = transport failure.
   sim::Task<kclient::VfsResult<CachedStatus>> FetchStatus(std::string path);
 

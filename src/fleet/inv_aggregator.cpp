@@ -102,7 +102,7 @@ void InvAggregator::Ingest(const Fh& fh, HostId shard_host) {
 // Downstream: GETINV service
 // ---------------------------------------------------------------------------
 
-sim::Task<Bytes> InvAggregator::HandleGetInv(rpc::CallContext ctx,
+sim::Task<Buf> InvAggregator::HandleGetInv(rpc::CallContext ctx,
                                              rpc::Body args) {
   ++stats_.getinv_served;
   // A client's first GETINV registers it: from then on every ingested handle

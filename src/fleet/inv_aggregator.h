@@ -121,7 +121,7 @@ class InvAggregator {
   JsonObject SnapshotState() const;
 
  private:
-  sim::Task<Bytes> HandleGetInv(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleGetInv(rpc::CallContext ctx, rpc::Body args);
 
   sim::Task<void> PollLoop();
   sim::Task<void> PollShardOnce(std::size_t shard_index);

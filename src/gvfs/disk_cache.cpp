@@ -95,7 +95,7 @@ const DiskCache::Block* DiskCache::FindBlock(const nfs3::Fh& fh,
   return b == it->second.blocks.end() ? nullptr : &b->second;
 }
 
-void DiskCache::StoreBlock(const nfs3::Fh& fh, std::uint64_t index, Bytes data,
+void DiskCache::StoreBlock(const nfs3::Fh& fh, std::uint64_t index, Buf data,
                            bool dirty) {
   auto& block = files_[fh].blocks[index];
   cached_bytes_ -= block.data.size();
@@ -105,14 +105,15 @@ void DiskCache::StoreBlock(const nfs3::Fh& fh, std::uint64_t index, Bytes data,
 }
 
 void DiskCache::WriteIntoBlock(const nfs3::Fh& fh, std::uint64_t index,
-                               std::uint64_t in_block, const Bytes& data) {
+                               std::uint64_t in_block, const Buf& data) {
   auto& block = files_[fh].blocks[index];
-  if (block.data.size() < in_block + data.size()) {
-    cached_bytes_ += in_block + data.size() - block.data.size();
-    block.data.resize(in_block + data.size(), 0);
+  cached_bytes_ -= block.data.size();
+  if (in_block == 0 && data.size() >= block.data.size()) {
+    block.data = data;
+  } else {
+    block.data.Write(in_block, data);
   }
-  std::copy(data.begin(), data.end(),
-            block.data.begin() + static_cast<std::ptrdiff_t>(in_block));
+  cached_bytes_ += block.data.size();
   block.dirty = true;
 }
 

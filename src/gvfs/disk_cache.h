@@ -29,7 +29,7 @@ class DiskCache {
   };
 
   struct Block {
-    Bytes data;
+    Buf data;
     bool dirty = false;
   };
 
@@ -83,10 +83,12 @@ class DiskCache {
   FileEntry* FindFile(const nfs3::Fh& fh);
   FileEntry& FileFor(const nfs3::Fh& fh) { return files_[fh]; }
   const Block* FindBlock(const nfs3::Fh& fh, std::uint64_t index) const;
-  void StoreBlock(const nfs3::Fh& fh, std::uint64_t index, Bytes data, bool dirty);
+  void StoreBlock(const nfs3::Fh& fh, std::uint64_t index, Buf data, bool dirty);
   /// Merges `data` into the block at byte offset `in_block`, marking dirty.
+  /// A write that starts the block and covers what it held shares `data`;
+  /// any other copies the block unless the cache holds its only reference.
   void WriteIntoBlock(const nfs3::Fh& fh, std::uint64_t index,
-                      std::uint64_t in_block, const Bytes& data);
+                      std::uint64_t in_block, const Buf& data);
   void DropFileData(const nfs3::Fh& fh);
   /// Drops a file's clean blocks, and its entry once no dirty block is left.
   void DropCleanData(const nfs3::Fh& fh);

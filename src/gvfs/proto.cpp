@@ -1,5 +1,7 @@
 #include "gvfs/proto.h"
 
+#include <cstring>
+
 namespace gvfs::proxy {
 
 namespace {
@@ -22,24 +24,25 @@ const char* GvfsProcName(std::uint32_t proc) {
   return "GVFS?";
 }
 
-void GrantSuffix::AppendTo(Bytes& reply_body) const {
-  xdr::Encoder enc;
-  enc.PutU32(static_cast<std::uint32_t>(delegation));
-  enc.PutU32(kGrantMagic);
-  const Bytes& tail = enc.bytes();
-  reply_body.insert(reply_body.end(), tail.begin(), tail.end());
+void GrantSuffix::AppendTo(Buf& reply_body) const {
+  const std::size_t size = reply_body.size();
+  reply_body = Buf::Build(size + kWireBytes, [&](std::uint8_t* p) {
+    if (size != 0) std::memcpy(p, reply_body.data(), size);
+    xdr::Encoder::StoreBe32(p + size, static_cast<std::uint32_t>(delegation));
+    xdr::Encoder::StoreBe32(p + size + 4, kGrantMagic);
+  });
 }
 
-GrantSuffix GrantSuffix::ExtractFrom(Bytes& reply_body) {
+GrantSuffix GrantSuffix::ExtractFrom(Buf& reply_body) {
   GrantSuffix out;
   if (reply_body.size() < kWireBytes) return out;
-  xdr::Decoder dec(reply_body.data() + reply_body.size() - kWireBytes, kWireBytes);
-  auto type = dec.GetU32();
-  auto magic = dec.GetU32();
-  if (!type || !magic || *magic != kGrantMagic) return out;
-  if (*type > static_cast<std::uint32_t>(DelegationType::kWrite)) return out;
-  out.delegation = static_cast<DelegationType>(*type);
-  reply_body.resize(reply_body.size() - kWireBytes);
+  const std::size_t body = reply_body.size() - kWireBytes;
+  const std::uint8_t* p = reply_body.data() + body;
+  const std::uint32_t type = xdr::Decoder::LoadBe32(p);
+  if (xdr::Decoder::LoadBe32(p + 4) != kGrantMagic) return out;
+  if (type > static_cast<std::uint32_t>(DelegationType::kWrite)) return out;
+  out.delegation = static_cast<DelegationType>(type);
+  reply_body = reply_body.Slice(0, body);
   return out;
 }
 

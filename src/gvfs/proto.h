@@ -172,11 +172,13 @@ struct GrantSuffix {
 
   static constexpr std::size_t kWireBytes = 8;  // magic + type
 
-  /// Appends the suffix to an already-encoded NFS reply body.
-  void AppendTo(Bytes& reply_body) const;
+  /// Appends the suffix to an already-encoded NFS reply body (a copy: the
+  /// body is shared with the upstream node's duplicate-request cache).
+  void AppendTo(Buf& reply_body) const;
 
-  /// Extracts (and strips) a suffix from a reply body, if present.
-  static GrantSuffix ExtractFrom(Bytes& reply_body);
+  /// Extracts (and strips) a suffix from a reply body, if present; the body
+  /// becomes the slice in front of it.
+  static GrantSuffix ExtractFrom(Buf& reply_body);
 };
 
 // ---------------------------------------------------------------------------

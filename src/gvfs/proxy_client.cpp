@@ -29,7 +29,7 @@ ProxyClient::ProxyClient(sim::Scheduler& sched, rpc::RpcNode& node,
       cache_(config_.block_size),
       poll_period_(config_.poll_period) {
   auto bind = [this, &node](nfs3::Proc proc,
-                            sim::Task<Bytes> (ProxyClient::*method)(
+                            sim::Task<Buf> (ProxyClient::*method)(
                                 rpc::CallContext, rpc::Body)) {
     node.RegisterHandler(nfs3::kProgram, proc,
                          [this, method](rpc::CallContext ctx, rpc::Body args) {
@@ -217,7 +217,7 @@ net::Address ProxyClient::UpstreamFor(const std::optional<Fh>& fh) const {
   return config_.shard_addrs[ShardOf(*fh, shard_count)];
 }
 
-sim::Task<std::optional<Bytes>> ProxyClient::Upstream(std::uint32_t proc, Bytes args,
+sim::Task<std::optional<Buf>> ProxyClient::Upstream(std::uint32_t proc, Buf args,
                                                       std::optional<Fh> granted_fh,
                                                       std::string label,
                                                       trace::SpanRef parent) {
@@ -229,7 +229,7 @@ sim::Task<std::optional<Bytes>> ProxyClient::Upstream(std::uint32_t proc, Bytes 
   auto reply = co_await node_.Call(UpstreamFor(granted_fh), nfs3::kProgram,
                                    proc, std::move(args), std::move(opts));
   if (!reply) co_return std::nullopt;
-  Bytes body = reply->ToBytes();
+  Buf body = std::move(*reply);
   // Adaptive sessions speak the delegation wire format too: the server
   // piggybacks grant suffixes on every known NFS reply.
   if (config_.model == ConsistencyModel::kDelegationCallback ||
@@ -244,7 +244,7 @@ sim::Task<std::optional<Bytes>> ProxyClient::Upstream(std::uint32_t proc, Bytes 
 // Kernel-facing handlers
 // ---------------------------------------------------------------------------
 
-sim::Task<Bytes> ProxyClient::HandleGetAttr(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleGetAttr(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::GetAttrArgs>(args);
   if (!parsed) co_return FailWith<nfs3::GetAttrRes>(Status::kIo);
   const Fh fh = parsed->object;
@@ -266,7 +266,7 @@ sim::Task<Bytes> ProxyClient::HandleGetAttr(rpc::CallContext ctx, rpc::Body args
   // kernel (noac kernels size their appends from it): drain the pipeline.
   co_await DrainAsyncWrites(fh);
 
-  auto body = co_await Upstream(nfs3::kGetAttr, args.ToBytes(), fh, "GETATTR",
+  auto body = co_await Upstream(nfs3::kGetAttr, std::move(args), fh, "GETATTR",
                                 ctx.span);
   if (!body) co_return FailWith<nfs3::GetAttrRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::GetAttrRes>(*body);
@@ -314,7 +314,7 @@ sim::Task<bool> ProxyClient::RefreshDirListing(Fh dir, trace::SpanRef parent) {
   co_return true;
 }
 
-sim::Task<Bytes> ProxyClient::HandleLookup(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleLookup(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::LookupArgs>(args);
   if (!parsed) co_return FailWith<nfs3::LookupRes>(Status::kIo);
   const Fh dir = parsed->dir;
@@ -368,7 +368,7 @@ sim::Task<Bytes> ProxyClient::HandleLookup(rpc::CallContext ctx, rpc::Body args)
     }
   }
 
-  auto body = co_await Upstream(nfs3::kLookup, args.ToBytes(), dir, "LOOKUP",
+  auto body = co_await Upstream(nfs3::kLookup, std::move(args), dir, "LOOKUP",
                                 ctx.span);
   if (!body) co_return FailWith<nfs3::LookupRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::LookupRes>(*body);
@@ -384,7 +384,7 @@ sim::Task<Bytes> ProxyClient::HandleLookup(rpc::CallContext ctx, rpc::Body args)
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleAccess(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleAccess(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::AccessArgs>(args);
   if (!parsed) co_return FailWith<nfs3::AccessRes>(Status::kIo);
   const Fh fh = parsed->object;
@@ -399,7 +399,7 @@ sim::Task<Bytes> ProxyClient::HandleAccess(rpc::CallContext ctx, rpc::Body args)
     co_await sim::Sleep(sched_, config_.disk_access_time);
     co_return Serialize(res);
   }
-  auto body = co_await Upstream(nfs3::kAccess, args.ToBytes(), fh, "ACCESS",
+  auto body = co_await Upstream(nfs3::kAccess, std::move(args), fh, "ACCESS",
                                 ctx.span);
   if (!body) co_return FailWith<nfs3::AccessRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::AccessRes>(*body);
@@ -407,7 +407,7 @@ sim::Task<Bytes> ProxyClient::HandleAccess(rpc::CallContext ctx, rpc::Body args)
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleRead(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleRead(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::ReadArgs>(args);
   if (!parsed) co_return FailWith<nfs3::ReadRes>(Status::kIo);
   const Fh fh = parsed->file;
@@ -438,9 +438,7 @@ sim::Task<Bytes> ProxyClient::HandleRead(rpc::CallContext ctx, rpc::Body args) {
       if (in_block < block->data.size()) {
         const std::uint64_t take = std::min<std::uint64_t>(
             block->data.size() - in_block, parsed->count);
-        res.data.assign(
-            block->data.begin() + static_cast<std::ptrdiff_t>(in_block),
-            block->data.begin() + static_cast<std::ptrdiff_t>(in_block + take));
+        res.data = block->data.Slice(in_block, take);
       }
       res.count = static_cast<std::uint32_t>(res.data.size());
       res.eof = parsed->offset + res.count >= file_size;
@@ -457,7 +455,7 @@ sim::Task<Bytes> ProxyClient::HandleRead(rpc::CallContext ctx, rpc::Body args) {
   // any in-flight WRITEs to this file before asking the server for bytes.
   co_await DrainAsyncWrites(fh);
 
-  auto body = co_await Upstream(nfs3::kRead, args.ToBytes(), fh, "READ",
+  auto body = co_await Upstream(nfs3::kRead, std::move(args), fh, "READ",
                                 ctx.span);
   if (!body) co_return FailWith<nfs3::ReadRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::ReadRes>(*body);
@@ -535,7 +533,7 @@ sim::Task<void> ProxyClient::Prefetch(Fh fh, std::uint64_t index) {
   prefetch_done_.NotifyAll();
 }
 
-sim::Task<Bytes> ProxyClient::HandleWrite(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleWrite(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::WriteArgs>(args);
   if (!parsed) co_return FailWith<nfs3::WriteRes>(Status::kIo);
   const Fh fh = parsed->file;
@@ -560,9 +558,7 @@ sim::Task<Bytes> ProxyClient::HandleWrite(rpc::CallContext ctx, rpc::Body args) 
       const std::uint64_t in_block = pos - index * bs;
       const std::uint64_t take =
           std::min<std::uint64_t>(bs - in_block, parsed->data.size() - consumed);
-      Bytes chunk(parsed->data.begin() + static_cast<std::ptrdiff_t>(consumed),
-                  parsed->data.begin() + static_cast<std::ptrdiff_t>(consumed + take));
-      cache_.WriteIntoBlock(fh, index, in_block, chunk);
+      cache_.WriteIntoBlock(fh, index, in_block, parsed->data.Slice(consumed, take));
       pos += take;
       consumed += take;
     }
@@ -625,7 +621,7 @@ sim::Task<Bytes> ProxyClient::HandleWrite(rpc::CallContext ctx, rpc::Body args) 
     co_return Serialize(res);
   }
 
-  auto body = co_await Upstream(nfs3::kWrite, args.ToBytes(), fh, "WRITE",
+  auto body = co_await Upstream(nfs3::kWrite, std::move(args), fh, "WRITE",
                                 ctx.span);
   if (!body) co_return FailWith<nfs3::WriteRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::WriteRes>(*body);
@@ -650,7 +646,7 @@ sim::Task<void> ProxyClient::ForwardWriteAsync(Fh fh, rpc::Body args,
                                                std::uint64_t start,
                                                std::uint64_t end) {
   const std::uint64_t epoch = epoch_;
-  auto body = co_await Upstream(nfs3::kWrite, args.ToBytes(), fh, "WRITE");
+  auto body = co_await Upstream(nfs3::kWrite, std::move(args), fh, "WRITE");
   AsyncWrites& aw = AsyncWritesFor(fh);
   for (auto it = aw.ranges.begin(); it != aw.ranges.end(); ++it) {
     if (it->first == start && it->second == end) {
@@ -682,7 +678,7 @@ sim::Task<void> ProxyClient::DrainAsyncWrites(Fh fh) {
   }
 }
 
-sim::Task<Bytes> ProxyClient::HandleCommit(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleCommit(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::CommitArgs>(args);
   if (!parsed) co_return FailWith<nfs3::CommitRes>(Status::kIo);
   const Fh fh = parsed->file;
@@ -713,17 +709,17 @@ sim::Task<Bytes> ProxyClient::HandleCommit(rpc::CallContext ctx, rpc::Body args)
     co_return Serialize(res);
   }
 
-  auto body = co_await Upstream(nfs3::kCommit, args.ToBytes(), fh, "COMMIT",
+  auto body = co_await Upstream(nfs3::kCommit, std::move(args), fh, "COMMIT",
                                 ctx.span);
   if (!body) co_return FailWith<nfs3::CommitRes>(Status::kIo);
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleCreate(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleCreate(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::CreateArgs>(args);
   if (!parsed) co_return FailWith<nfs3::CreateRes>(Status::kIo);
   const Fh dir = parsed->dir;
-  auto body = co_await Upstream(nfs3::kCreate, args.ToBytes(), dir, "CREATE",
+  auto body = co_await Upstream(nfs3::kCreate, std::move(args), dir, "CREATE",
                                 ctx.span);
   if (!body) co_return FailWith<nfs3::CreateRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::CreateRes>(*body);
@@ -737,11 +733,11 @@ sim::Task<Bytes> ProxyClient::HandleCreate(rpc::CallContext ctx, rpc::Body args)
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleMkdir(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleMkdir(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::MkdirArgs>(args);
   if (!parsed) co_return FailWith<nfs3::MkdirRes>(Status::kIo);
   const Fh dir = parsed->dir;
-  auto body = co_await Upstream(nfs3::kMkdir, args.ToBytes(), dir, "MKDIR",
+  auto body = co_await Upstream(nfs3::kMkdir, std::move(args), dir, "MKDIR",
                                 ctx.span);
   if (!body) co_return FailWith<nfs3::MkdirRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::MkdirRes>(*body);
@@ -755,11 +751,11 @@ sim::Task<Bytes> ProxyClient::HandleMkdir(rpc::CallContext ctx, rpc::Body args) 
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleRemove(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleRemove(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::RemoveArgs>(args);
   if (!parsed) co_return FailWith<nfs3::RemoveRes>(Status::kIo);
   const Fh dir = parsed->dir;
-  auto body = co_await Upstream(nfs3::kRemove, args.ToBytes(), dir, "REMOVE",
+  auto body = co_await Upstream(nfs3::kRemove, std::move(args), dir, "REMOVE",
                                 ctx.span);
   if (!body) co_return FailWith<nfs3::RemoveRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::RemoveRes>(*body);
@@ -785,11 +781,11 @@ sim::Task<Bytes> ProxyClient::HandleRemove(rpc::CallContext ctx, rpc::Body args)
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleRmdir(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleRmdir(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::RmdirArgs>(args);
   if (!parsed) co_return FailWith<nfs3::RmdirRes>(Status::kIo);
   const Fh dir = parsed->dir;
-  auto body = co_await Upstream(nfs3::kRmdir, args.ToBytes(), dir, "RMDIR",
+  auto body = co_await Upstream(nfs3::kRmdir, std::move(args), dir, "RMDIR",
                                 ctx.span);
   if (!body) co_return FailWith<nfs3::RmdirRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::RmdirRes>(*body);
@@ -800,10 +796,10 @@ sim::Task<Bytes> ProxyClient::HandleRmdir(rpc::CallContext ctx, rpc::Body args) 
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleRename(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleRename(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::RenameArgs>(args);
   if (!parsed) co_return FailWith<nfs3::RenameRes>(Status::kIo);
-  auto body = co_await Upstream(nfs3::kRename, args.ToBytes(), parsed->from_dir,
+  auto body = co_await Upstream(nfs3::kRename, std::move(args), parsed->from_dir,
                                 "RENAME", ctx.span);
   if (!body) co_return FailWith<nfs3::RenameRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::RenameRes>(*body);
@@ -819,10 +815,10 @@ sim::Task<Bytes> ProxyClient::HandleRename(rpc::CallContext ctx, rpc::Body args)
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleLink(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleLink(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::LinkArgs>(args);
   if (!parsed) co_return FailWith<nfs3::LinkRes>(Status::kIo);
-  auto body = co_await Upstream(nfs3::kLink, args.ToBytes(), parsed->dir,
+  auto body = co_await Upstream(nfs3::kLink, std::move(args), parsed->dir,
                                 "LINK", ctx.span);
   if (!body) co_return FailWith<nfs3::LinkRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::LinkRes>(*body);
@@ -836,11 +832,11 @@ sim::Task<Bytes> ProxyClient::HandleLink(rpc::CallContext ctx, rpc::Body args) {
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleSetAttr(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleSetAttr(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::SetAttrArgs>(args);
   if (!parsed) co_return FailWith<nfs3::SetAttrRes>(Status::kIo);
   const Fh fh = parsed->object;
-  auto body = co_await Upstream(nfs3::kSetAttr, args.ToBytes(), fh, "SETATTR",
+  auto body = co_await Upstream(nfs3::kSetAttr, std::move(args), fh, "SETATTR",
                                 ctx.span);
   if (!body) co_return FailWith<nfs3::SetAttrRes>(Status::kIo);
   auto res = nfs3::Parse<nfs3::SetAttrRes>(*body);
@@ -851,10 +847,10 @@ sim::Task<Bytes> ProxyClient::HandleSetAttr(rpc::CallContext ctx, rpc::Body args
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandlePassthrough(std::uint32_t proc,
+sim::Task<Buf> ProxyClient::HandlePassthrough(std::uint32_t proc,
                                                 rpc::CallContext ctx,
                                                 rpc::Body args) {
-  auto body = co_await Upstream(proc, args.ToBytes(), std::nullopt,
+  auto body = co_await Upstream(proc, std::move(args), std::nullopt,
                                 nfs3::ProcName(proc), ctx.span);
   if (!body) co_return FailWith<nfs3::GetAttrRes>(Status::kIo);
   co_return std::move(*body);
@@ -864,7 +860,7 @@ sim::Task<Bytes> ProxyClient::HandlePassthrough(std::uint32_t proc,
 // Callbacks (server -> client)
 // ---------------------------------------------------------------------------
 
-sim::Task<Bytes> ProxyClient::HandleCallback(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyClient::HandleCallback(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.callbacks_received;
   auto parsed = nfs3::Parse<CallbackArgs>(args);
   if (!parsed) co_return Serialize(CallbackRes{});
@@ -928,7 +924,7 @@ sim::Task<Bytes> ProxyClient::HandleCallback(rpc::CallContext ctx, rpc::Body arg
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> ProxyClient::HandleRecovery(rpc::CallContext ctx, rpc::Body) {
+sim::Task<Buf> ProxyClient::HandleRecovery(rpc::CallContext ctx, rpc::Body) {
   ++stats_.callbacks_received;
   // Whole-cache callback after a server restart: every cached attribute
   // must be revalidated; write-delegation state is reported back so the

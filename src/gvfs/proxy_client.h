@@ -133,31 +133,31 @@ class ProxyClient {
   // All take the RPC CallContext so the kernel call's span becomes the
   // parent of every upstream RPC the handler issues (one causal tree from
   // kernel client through proxy to server).
-  sim::Task<Bytes> HandleGetAttr(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleLookup(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleAccess(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRead(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleWrite(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleCommit(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleCreate(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleMkdir(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRemove(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRmdir(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRename(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleLink(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleSetAttr(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandlePassthrough(std::uint32_t proc, rpc::CallContext ctx,
+  sim::Task<Buf> HandleGetAttr(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleLookup(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleAccess(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleRead(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleWrite(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleCommit(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleCreate(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleMkdir(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleRemove(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleRmdir(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleRename(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleLink(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleSetAttr(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandlePassthrough(std::uint32_t proc, rpc::CallContext ctx,
                                      rpc::Body args);
 
   // -- server-facing callback handlers --
-  sim::Task<Bytes> HandleCallback(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRecovery(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleCallback(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleRecovery(rpc::CallContext ctx, rpc::Body args);
 
   /// Forwards a raw request upstream; strips and applies any delegation
   /// grant suffix for `granted_fh`. Returns the reply body (suffix removed),
   /// or nullopt on transport failure. `parent` chains the upstream call into
   /// the caller's trace (invalid => the call roots a new trace).
-  sim::Task<std::optional<Bytes>> Upstream(std::uint32_t proc, Bytes args,
+  sim::Task<std::optional<Buf>> Upstream(std::uint32_t proc, Buf args,
                                            std::optional<nfs3::Fh> granted_fh,
                                            std::string label,
                                            trace::SpanRef parent = {});

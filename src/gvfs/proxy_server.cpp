@@ -50,7 +50,7 @@ ProxyServer::ProxyServer(sim::Scheduler& sched, rpc::RpcNode& node,
 // Request classification
 // ---------------------------------------------------------------------------
 
-ProxyServer::OpInfo ProxyServer::Classify(std::uint32_t proc, ByteView args) {
+ProxyServer::OpInfo ProxyServer::Classify(std::uint32_t proc, const rpc::Body& args) {
   OpInfo info;
   info.known = true;
   switch (proc) {
@@ -155,7 +155,7 @@ ProxyServer::OpInfo ProxyServer::Classify(std::uint32_t proc, ByteView args) {
 // Main NFS path
 // ---------------------------------------------------------------------------
 
-sim::Task<Bytes> ProxyServer::HandleNfs(std::uint32_t proc, rpc::CallContext ctx,
+sim::Task<Buf> ProxyServer::HandleNfs(std::uint32_t proc, rpc::CallContext ctx,
                                         rpc::Body args) {
   // The staleness probe stamps new versions with the request's receipt time:
   // it precedes the upstream mtime, so a client that already read the new
@@ -213,13 +213,13 @@ sim::Task<Bytes> ProxyServer::HandleNfs(std::uint32_t proc, rpc::CallContext ctx
   ++stats_.forwarded;
   rpc::CallOptions fwd_opts;
   fwd_opts.parent = ctx.span;
-  auto reply = co_await node_.Call(upstream_.server(), nfs3::kProgram, proc, args.ToBytes(),
+  auto reply = co_await node_.Call(upstream_.server(), nfs3::kProgram, proc, std::move(args),
                                    std::move(fwd_opts));
   if (!reply) {
     // Upstream unreachable: surface as a server fault in NFS terms.
     co_return nfs3::FailWith<nfs3::GetAttrRes>(nfs3::Status::kServerFault);
   }
-  Bytes body = reply->ToBytes();
+  Buf body = std::move(*reply);
 
   // A successful WRITE from the write-back owner retires pending blocks.
   if (proc == nfs3::kWrite && info.offset.has_value() && !info.writes.empty()) {
@@ -317,7 +317,7 @@ sim::Task<void> ProxyServer::PropagateInvalidation(Fh fh, net::Address writer,
   }
 }
 
-sim::Task<Bytes> ProxyServer::HandleNotifyInv(rpc::CallContext ctx,
+sim::Task<Buf> ProxyServer::HandleNotifyInv(rpc::CallContext ctx,
                                               rpc::Body args) {
   ++stats_.notifyinv_received;
   auto parsed = nfs3::Parse<NotifyInvArgs>(args);
@@ -333,7 +333,7 @@ sim::Task<Bytes> ProxyServer::HandleNotifyInv(rpc::CallContext ctx,
   co_return Serialize(NotifyInvRes{});
 }
 
-sim::Task<Bytes> ProxyServer::HandleGetInv(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyServer::HandleGetInv(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.getinv_served;
   RegisterClient(ctx.caller);
   // A malformed request reads as the null timestamp: whole-cache
@@ -349,7 +349,7 @@ sim::Task<Bytes> ProxyServer::HandleGetInv(rpc::CallContext ctx, rpc::Body args)
 // Adaptive policy migrations
 // ---------------------------------------------------------------------------
 
-sim::Task<Bytes> ProxyServer::HandleMigrate(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<Buf> ProxyServer::HandleMigrate(rpc::CallContext ctx, rpc::Body args) {
   co_await WaitGrace();
   RegisterClient(ctx.caller);
   MigrateRes res;

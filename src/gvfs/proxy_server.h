@@ -149,13 +149,13 @@ class ProxyServer {
     std::vector<std::pair<nfs3::Fh, std::string>> victims;
   };
 
-  sim::Task<Bytes> HandleNfs(std::uint32_t proc, rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleGetInv(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleNotifyInv(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleNfs(std::uint32_t proc, rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleGetInv(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleNotifyInv(rpc::CallContext ctx, rpc::Body args);
   /// Adaptive sessions: per-file mode switch (drain-before-switch handshake).
-  sim::Task<Bytes> HandleMigrate(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<Buf> HandleMigrate(rpc::CallContext ctx, rpc::Body args);
 
-  static OpInfo Classify(std::uint32_t proc, ByteView args);
+  static OpInfo Classify(std::uint32_t proc, const rpc::Body& args);
 
   /// Registers the caller in the session (persistent list).
   void RegisterClient(net::Address client);

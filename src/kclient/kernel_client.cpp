@@ -387,7 +387,7 @@ sim::Task<VfsResult<Bytes>> KernelClient::Read(Fd fd, std::uint64_t offset,
     } else {
       ++stats_.page_hits;
     }
-    const Bytes& data = cached->second.data;
+    const Buf& data = cached->second.data;
     const std::uint64_t in_block = pos - block_start;
     if (in_block >= data.size()) break;  // hole/EOF within block
     const std::uint64_t take =
@@ -453,14 +453,12 @@ sim::Task<VfsResult<std::uint32_t>> KernelClient::Write(Fd fd, std::uint64_t off
       cached = fc->blocks.emplace(index, std::move(block)).first;
     }
 
-    Bytes& dst = cached->second.data;
-    if (dst.size() < in_block + take) {
-      cached_bytes_ += in_block + take - dst.size();
-      dst.resize(in_block + take, 0);
-    }
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(consumed),
-              data.begin() + static_cast<std::ptrdiff_t>(consumed + take),
-              dst.begin() + static_cast<std::ptrdiff_t>(in_block));
+    // The one copy of a written block: application bytes into the page
+    // cache (in place when the cache holds the block's only reference).
+    Buf& dst = cached->second.data;
+    cached_bytes_ -= dst.size();
+    dst.Write(in_block, ByteView(data.data() + consumed, take));
+    cached_bytes_ += dst.size();
     cached->second.dirty = true;
 
     pos += take;

@@ -121,7 +121,7 @@ class KernelClient : public Vfs {
   };
 
   struct CachedBlock {
-    Bytes data;
+    Buf data;
     bool dirty = false;
   };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace gvfs::memfs {
 
@@ -76,7 +77,7 @@ void MemFs::Unref(InodeId id) {
   --node->attr.nlink;
   node->attr.ctime = Now();
   if (node->attr.nlink == 0) {
-    total_bytes_ -= node->data.size();
+    total_bytes_ -= node->attr.size;
     inodes_.erase(id);
   }
 }
@@ -92,10 +93,7 @@ FsResult<InodeAttr> MemFs::SetAttr(InodeId id, const SetAttrRequest& req) {
   if (node == nullptr) return Unexpected(FsError::kStale);
   if (req.size.has_value()) {
     if (node->attr.type == FileType::kDirectory) return Unexpected(FsError::kIsDir);
-    total_bytes_ -= node->data.size();
-    node->data.resize(*req.size, 0);
-    total_bytes_ += node->data.size();
-    node->attr.size = *req.size;
+    Resize(*node, *req.size);
     node->attr.mtime = Now();
   }
   if (req.mode.has_value()) node->attr.mode = *req.mode;
@@ -223,36 +221,101 @@ FsResult<void> MemFs::Link(InodeId file, InodeId dir, const std::string& name) {
   return Ok{};
 }
 
+void MemFs::CopyOut(const Inode& node, std::uint64_t offset, std::uint64_t len,
+                    std::uint8_t* out) {
+  while (len > 0) {
+    const std::uint64_t index = offset / kBlockSize;
+    const std::uint64_t in_block = offset - index * kBlockSize;
+    const std::uint64_t take = std::min(kBlockSize - in_block, len);
+    const Buf* block = index < node.blocks.size() ? &node.blocks[index] : nullptr;
+    const std::uint64_t stored =
+        block != nullptr && block->size() > in_block
+            ? std::min<std::uint64_t>(block->size() - in_block, take)
+            : 0;
+    if (stored != 0) std::memcpy(out, block->data() + in_block, stored);
+    std::memset(out + stored, 0, take - stored);
+    out += take;
+    offset += take;
+    len -= take;
+  }
+}
+
+void MemFs::Resize(Inode& node, std::uint64_t size) {
+  if (size < node.attr.size) {
+    const std::uint64_t keep = (size + kBlockSize - 1) / kBlockSize;
+    if (node.blocks.size() > keep) node.blocks.resize(keep);
+    if (keep != 0 && node.blocks.size() == keep) {
+      Buf& last = node.blocks.back();
+      const std::uint64_t last_len = size - (keep - 1) * kBlockSize;
+      if (last.size() > last_len) last = last.Slice(0, last_len);
+    }
+  }
+  total_bytes_ = total_bytes_ - node.attr.size + size;
+  node.attr.size = size;
+}
+
 FsResult<ReadResult> MemFs::Read(InodeId id, std::uint64_t offset,
                                  std::uint32_t count) const {
   const Inode* node = Find(id);
   if (node == nullptr) return Unexpected(FsError::kStale);
   if (node->attr.type == FileType::kDirectory) return Unexpected(FsError::kIsDir);
   ReadResult result;
-  if (offset >= node->data.size()) {
+  if (offset >= node->attr.size) {
     result.eof = true;
     return result;
   }
-  const std::uint64_t end = std::min<std::uint64_t>(offset + count, node->data.size());
-  result.data.assign(node->data.begin() + static_cast<std::ptrdiff_t>(offset),
-                     node->data.begin() + static_cast<std::ptrdiff_t>(end));
-  result.eof = end == node->data.size();
+  const std::uint64_t end = std::min<std::uint64_t>(offset + count, node->attr.size);
+  result.data.resize(end - offset);
+  CopyOut(*node, offset, end - offset, result.data.data());
+  result.eof = end == node->attr.size;
+  return result;
+}
+
+FsResult<SharedRead> MemFs::ReadShared(InodeId id, std::uint64_t offset,
+                                       std::uint32_t count) const {
+  const Inode* node = Find(id);
+  if (node == nullptr) return Unexpected(FsError::kStale);
+  if (node->attr.type == FileType::kDirectory) return Unexpected(FsError::kIsDir);
+  SharedRead result;
+  if (offset >= node->attr.size) {
+    result.eof = true;
+    return result;
+  }
+  const std::uint64_t end = std::min<std::uint64_t>(offset + count, node->attr.size);
+  const std::uint64_t len = end - offset;
+  const std::uint64_t index = offset / kBlockSize;
+  const std::uint64_t in_block = offset - index * kBlockSize;
+  if (in_block + len <= kBlockSize && index < node->blocks.size() &&
+      node->blocks[index].size() >= in_block + len) {
+    result.data = node->blocks[index].Slice(in_block, len);
+  } else {
+    result.data = Buf::Build(len, [&](std::uint8_t* p) { CopyOut(*node, offset, len, p); });
+  }
+  result.eof = end == node->attr.size;
   return result;
 }
 
 FsResult<std::uint64_t> MemFs::Write(InodeId id, std::uint64_t offset,
-                                     const Bytes& data) {
+                                     const Buf& data) {
   Inode* node = Find(id);
   if (node == nullptr) return Unexpected(FsError::kStale);
   if (node->attr.type == FileType::kDirectory) return Unexpected(FsError::kIsDir);
   const std::uint64_t end = offset + data.size();
-  if (end > node->data.size()) {
-    total_bytes_ += end - node->data.size();
-    node->data.resize(end, 0);
+  if (end > node->attr.size) Resize(*node, end);
+  for (std::uint64_t pos = offset; pos < end;) {
+    const std::uint64_t index = pos / kBlockSize;
+    const std::uint64_t in_block = pos - index * kBlockSize;
+    const std::uint64_t take = std::min(kBlockSize - in_block, end - pos);
+    if (node->blocks.size() <= index) node->blocks.resize(index + 1);
+    Buf& block = node->blocks[index];
+    const Buf piece = data.Slice(pos - offset, take);
+    if (in_block == 0 && take >= block.size()) {
+      block = piece;
+    } else {
+      block.Write(in_block, piece);
+    }
+    pos += take;
   }
-  std::copy(data.begin(), data.end(),
-            node->data.begin() + static_cast<std::ptrdiff_t>(offset));
-  node->attr.size = node->data.size();
   node->attr.mtime = node->attr.ctime = Now();
   return node->attr.size;
 }

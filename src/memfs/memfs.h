@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/buf.h"
 #include "common/expected.h"
 #include "common/types.h"
 
@@ -59,6 +60,13 @@ struct ReadResult {
   bool eof = false;
 };
 
+/// A read that shares the stored bytes: a slice of one block when the range
+/// lies inside it, else one copy.
+struct SharedRead {
+  Buf data;
+  bool eof = false;
+};
+
 /// Requested attribute changes; unset fields are left alone.
 struct SetAttrRequest {
   std::optional<std::uint32_t> mode;
@@ -96,10 +104,15 @@ class MemFs {
   /// Hard link: adds `name` in `dir` referring to existing regular file.
   FsResult<void> Link(InodeId file, InodeId dir, const std::string& name);
 
+  /// An owned copy of [offset, offset + count), short at EOF.
   FsResult<ReadResult> Read(InodeId id, std::uint64_t offset, std::uint32_t count) const;
+  FsResult<SharedRead> ReadShared(InodeId id, std::uint64_t offset,
+                                  std::uint32_t count) const;
 
-  /// Returns the file size after the write.
-  FsResult<std::uint64_t> Write(InodeId id, std::uint64_t offset, const Bytes& data);
+  /// Returns the file size after the write. A block the write covers, or
+  /// starts and outgrows, keeps a slice of `data`; a partial overwrite
+  /// copies the block unless memfs holds its only reference.
+  FsResult<std::uint64_t> Write(InodeId id, std::uint64_t offset, const Buf& data);
 
   /// Lists entries starting after `cookie` (0 = from the beginning), at most
   /// max_entries. Deterministic (name-sorted) order.
@@ -109,14 +122,19 @@ class MemFs {
   /// Convenience for tests/workload setup: resolves an absolute slash path.
   FsResult<InodeId> ResolvePath(const std::string& path) const;
 
-  /// Total bytes of file content stored (for FSSTAT).
+  /// Total bytes of file content, holes included (for FSSTAT).
   std::uint64_t TotalBytes() const { return total_bytes_; }
+
+  /// Files are stored in blocks of this many bytes.
+  static constexpr std::uint64_t kBlockSize = 32 * 1024;
   std::uint64_t InodeCount() const { return inodes_.size(); }
 
  private:
   struct Inode {
     InodeAttr attr;
-    Bytes data;                              // regular files
+    /// Regular files: block i holds bytes [i, i + 1) * kBlockSize. A block
+    /// shorter than that, or missing, reads as zeros up to the file size.
+    std::vector<Buf> blocks;
     std::map<std::string, InodeId> entries;  // directories
   };
 
@@ -126,6 +144,13 @@ class MemFs {
   const Inode* Find(InodeId id) const;
   FsResult<Inode*> FindDir(InodeId id);
   FsResult<const Inode*> FindDir(InodeId id) const;
+
+  /// Copies [offset, offset + len) of a file, which the size covers.
+  static void CopyOut(const Inode& node, std::uint64_t offset, std::uint64_t len,
+                      std::uint8_t* out);
+  /// Sets a regular file's size: shorter drops the bytes past it, longer
+  /// reads as zeros.
+  void Resize(Inode& node, std::uint64_t size);
 
   InodeId NewInode(FileType type, std::uint32_t mode);
   void TouchDir(Inode& dir);

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/buf.h"
 #include "common/flat_map.h"
 #include "common/types.h"
 #include "sim/scheduler.h"
@@ -35,13 +36,21 @@ struct Address {
   friend auto operator<=>(const Address&, const Address&) = default;
 };
 
-/// An opaque datagram in flight. `wire_size` includes all header overhead.
+/// An opaque datagram in flight: `head` then `body`, as two shared Bufs, so
+/// a node that forwards a body it received frames it anew without copying
+/// it. `wire_size` includes all header overhead.
 struct Packet {
   Address src;
   Address dst;
   std::size_t wire_size = 0;
-  Bytes payload;
+  Buf head;
+  Buf body;
 };
+
+// A delivery event captures [this, Packet]; it must stay in the event's
+// inline storage, or every packet would allocate.
+static_assert(sizeof(void*) + sizeof(Packet) <= sim::EventFn::kInlineSize,
+              "packet delivery closure spills out of EventFn");
 
 struct LinkConfig {
   Duration one_way_latency = Milliseconds(20);   // 40 ms RTT default (paper WAN)

@@ -98,7 +98,7 @@ Status FromFsError(memfs::FsError e) {
 // and decoded through one reserved window — a single capacity/bounds check
 // for all ten fields. Wire format is identical to per-field Puts/Gets.
 void Fattr::Encode(xdr::Encoder& enc) const {
-  std::uint8_t* p = enc.Reserve(60);
+  std::uint8_t* p = enc.Reserve(kXdrSize);
   xdr::Encoder::StoreBe32(p, static_cast<std::uint32_t>(type));
   xdr::Encoder::StoreBe32(p + 4, mode);
   xdr::Encoder::StoreBe32(p + 8, nlink);
@@ -112,7 +112,7 @@ void Fattr::Encode(xdr::Encoder& enc) const {
 }
 
 DecodeResult<Fattr> Fattr::Decode(xdr::Decoder& dec) {
-  const std::uint8_t* p = dec.GetRaw(60);
+  const std::uint8_t* p = dec.GetRaw(kXdrSize);
   if (p == nullptr) return Unexpected(xdr::DecodeError::kTruncated);
   Fattr out;
   out.type = static_cast<FType>(xdr::Decoder::LoadBe32(p));

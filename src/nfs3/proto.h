@@ -97,6 +97,7 @@ struct Fattr {
   SimTime ctime = 0;
 
   /// Hand-written: one fused 60-byte window instead of ten field writes.
+  static constexpr std::size_t kXdrSize = 60;
   void Encode(xdr::Encoder& enc) const;
   static DecodeResult<Fattr> Decode(xdr::Decoder& dec);
 
@@ -185,7 +186,7 @@ struct ReadRes {
   PostOpAttr attr;
   std::uint32_t count = 0;
   bool eof = false;
-  Bytes data;
+  Buf data;
   static void Xdr(auto& io, auto& m) {
     io(m.status, m.attr);
     if (m.status == Status::kOk) io(m.count, m.eof, m.data);
@@ -198,7 +199,7 @@ struct WriteArgs {
   Fh file;
   std::uint64_t offset = 0;
   StableHow stable = StableHow::kUnstable;
-  Bytes data;
+  Buf data;
   static void Xdr(auto& io, auto& m) { io(m.file, m.offset, m.stable, m.data); }
 };
 
@@ -334,19 +335,24 @@ struct CommitRes {
   static void Xdr(auto& io, auto& m) { io(m.status, m.attr); }
 };
 
-/// Serializes any message with a field list.
+/// Serializes any message with a field list. A message that carries a
+/// payload is encoded at its exact size, so a block sliced out of it pins
+/// little more than its own bytes.
 template <typename T>
-Bytes Serialize(const T& msg) {
-  xdr::Encoder enc;
+Buf Serialize(const T& msg) {
+  xdr::Sizer sizer;
+  sizer(msg);
+  xdr::Encoder enc(sizer.size(), /*exact=*/sizer.payload() > 0);
   xdr::Writer{enc}(msg);
   return enc.Take();
 }
 
-/// Parses a message; returns nullopt on any decode error. Accepts any view
-/// of the body bytes (Bytes, rpc::Body, xdr::View) without copying it, and
-/// ignores trailing bytes (a delegation grant suffix rides behind replies).
-template <typename T>
-std::optional<T> Parse(ByteView body) {
+/// Parses a message; returns nullopt on any decode error. Accepts the body
+/// as a Buf (payload fields become slices of it, rpc::Body is one), Bytes or
+/// any view (payload fields are copied), and ignores trailing bytes (a
+/// delegation grant suffix rides behind replies).
+template <typename T, typename Body>
+std::optional<T> Parse(const Body& body) {
   xdr::Decoder dec(body);
   xdr::Reader in(dec);
   T msg;
@@ -357,7 +363,7 @@ std::optional<T> Parse(ByteView body) {
 
 /// A status-only failure reply of any result type.
 template <typename Res>
-Bytes FailWith(Status status) {
+Buf FailWith(Status status) {
   Res res;
   res.status = status;
   return Serialize(res);

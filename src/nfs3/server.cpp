@@ -19,7 +19,7 @@ Nfs3Server::Nfs3Server(sim::Scheduler& sched, memfs::MemFs& fs, rpc::RpcNode& no
   // coroutines whose frames hold `this` plus moved-in args. The stats handle
   // is resolved once here, not per request.
   auto bind = [this, &node](Proc proc,
-                            sim::Task<Bytes> (Nfs3Server::*method)(rpc::Body)) {
+                            sim::Task<Buf> (Nfs3Server::*method)(rpc::Body)) {
     const rpc::StatsMap::Handle stat = served_.Intern(ProcName(proc));
     node.RegisterHandler(kProgram, proc,
                          [this, stat, method](rpc::CallContext, rpc::Body args) {
@@ -43,8 +43,8 @@ Nfs3Server::Nfs3Server(sim::Scheduler& sched, memfs::MemFs& fs, rpc::RpcNode& no
   bind(kFsStat, &Nfs3Server::HandleFsStat);
   bind(kCommit, &Nfs3Server::HandleCommit);
   node.RegisterHandler(kProgram, kNull,
-                       [](rpc::CallContext, rpc::Body) -> sim::Task<Bytes> {
-                         co_return Bytes{};
+                       [](rpc::CallContext, rpc::Body) -> sim::Task<Buf> {
+                         co_return Buf{};
                        });
 }
 
@@ -60,7 +60,7 @@ PostOpAttr Nfs3Server::AttrOf(memfs::InodeId ino) const {
   return ToFattr(*attr);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleGetAttr(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleGetAttr(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<GetAttrArgs>(args);
   if (!parsed) co_return FailWith<GetAttrRes>(Status::kBadHandle);
@@ -74,7 +74,7 @@ sim::Task<Bytes> Nfs3Server::HandleGetAttr(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleSetAttr(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleSetAttr(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<SetAttrArgs>(args);
   if (!parsed) co_return FailWith<SetAttrRes>(Status::kBadHandle);
@@ -92,7 +92,7 @@ sim::Task<Bytes> Nfs3Server::HandleSetAttr(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleLookup(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleLookup(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<LookupArgs>(args);
   if (!parsed) co_return FailWith<LookupRes>(Status::kBadHandle);
@@ -108,7 +108,7 @@ sim::Task<Bytes> Nfs3Server::HandleLookup(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleAccess(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleAccess(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<AccessArgs>(args);
   if (!parsed) co_return FailWith<AccessRes>(Status::kBadHandle);
@@ -122,12 +122,12 @@ sim::Task<Bytes> Nfs3Server::HandleAccess(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleRead(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleRead(rpc::Body args) {
   auto parsed = Parse<ReadArgs>(args);
   if (!parsed) co_return FailWith<ReadRes>(Status::kBadHandle);
   co_await Service((parsed->count + kBlockSize - 1) / kBlockSize);
   ReadRes res;
-  auto data = fs_.Read(parsed->file.ino, parsed->offset, parsed->count);
+  auto data = fs_.ReadShared(parsed->file.ino, parsed->offset, parsed->count);
   res.attr = AttrOf(parsed->file.ino);
   if (!data) {
     res.status = FromFsError(data.error());
@@ -139,7 +139,7 @@ sim::Task<Bytes> Nfs3Server::HandleRead(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleWrite(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleWrite(rpc::Body args) {
   auto parsed = Parse<WriteArgs>(args);
   if (!parsed) co_return FailWith<WriteRes>(Status::kBadHandle);
   co_await Service((parsed->data.size() + kBlockSize - 1) / kBlockSize);
@@ -157,7 +157,7 @@ sim::Task<Bytes> Nfs3Server::HandleWrite(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleCreate(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleCreate(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<CreateArgs>(args);
   if (!parsed) co_return FailWith<CreateRes>(Status::kBadHandle);
@@ -183,7 +183,7 @@ sim::Task<Bytes> Nfs3Server::HandleCreate(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleMkdir(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleMkdir(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<MkdirArgs>(args);
   if (!parsed) co_return FailWith<MkdirRes>(Status::kBadHandle);
@@ -199,7 +199,7 @@ sim::Task<Bytes> Nfs3Server::HandleMkdir(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleRemove(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleRemove(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<RemoveArgs>(args);
   if (!parsed) co_return FailWith<RemoveRes>(Status::kBadHandle);
@@ -210,7 +210,7 @@ sim::Task<Bytes> Nfs3Server::HandleRemove(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleRmdir(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleRmdir(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<RmdirArgs>(args);
   if (!parsed) co_return FailWith<RmdirRes>(Status::kBadHandle);
@@ -221,7 +221,7 @@ sim::Task<Bytes> Nfs3Server::HandleRmdir(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleRename(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleRename(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<RenameArgs>(args);
   if (!parsed) co_return FailWith<RenameRes>(Status::kBadHandle);
@@ -234,7 +234,7 @@ sim::Task<Bytes> Nfs3Server::HandleRename(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleLink(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleLink(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<LinkArgs>(args);
   if (!parsed) co_return FailWith<LinkRes>(Status::kBadHandle);
@@ -246,7 +246,7 @@ sim::Task<Bytes> Nfs3Server::HandleLink(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleReadDir(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleReadDir(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<ReadDirArgs>(args);
   if (!parsed) co_return FailWith<ReadDirRes>(Status::kBadHandle);
@@ -264,7 +264,7 @@ sim::Task<Bytes> Nfs3Server::HandleReadDir(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleFsStat(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleFsStat(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<FsStatArgs>(args);
   if (!parsed) co_return FailWith<FsStatRes>(Status::kBadHandle);
@@ -275,7 +275,7 @@ sim::Task<Bytes> Nfs3Server::HandleFsStat(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleCommit(rpc::Body args) {
+sim::Task<Buf> Nfs3Server::HandleCommit(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<CommitArgs>(args);
   if (!parsed) co_return FailWith<CommitRes>(Status::kBadHandle);

@@ -43,21 +43,21 @@ class Nfs3Server {
   const rpc::StatsMap& served() const { return served_; }
 
  private:
-  sim::Task<Bytes> HandleGetAttr(rpc::Body args);
-  sim::Task<Bytes> HandleSetAttr(rpc::Body args);
-  sim::Task<Bytes> HandleLookup(rpc::Body args);
-  sim::Task<Bytes> HandleAccess(rpc::Body args);
-  sim::Task<Bytes> HandleRead(rpc::Body args);
-  sim::Task<Bytes> HandleWrite(rpc::Body args);
-  sim::Task<Bytes> HandleCreate(rpc::Body args);
-  sim::Task<Bytes> HandleMkdir(rpc::Body args);
-  sim::Task<Bytes> HandleRemove(rpc::Body args);
-  sim::Task<Bytes> HandleRmdir(rpc::Body args);
-  sim::Task<Bytes> HandleRename(rpc::Body args);
-  sim::Task<Bytes> HandleLink(rpc::Body args);
-  sim::Task<Bytes> HandleReadDir(rpc::Body args);
-  sim::Task<Bytes> HandleFsStat(rpc::Body args);
-  sim::Task<Bytes> HandleCommit(rpc::Body args);
+  sim::Task<Buf> HandleGetAttr(rpc::Body args);
+  sim::Task<Buf> HandleSetAttr(rpc::Body args);
+  sim::Task<Buf> HandleLookup(rpc::Body args);
+  sim::Task<Buf> HandleAccess(rpc::Body args);
+  sim::Task<Buf> HandleRead(rpc::Body args);
+  sim::Task<Buf> HandleWrite(rpc::Body args);
+  sim::Task<Buf> HandleCreate(rpc::Body args);
+  sim::Task<Buf> HandleMkdir(rpc::Body args);
+  sim::Task<Buf> HandleRemove(rpc::Body args);
+  sim::Task<Buf> HandleRmdir(rpc::Body args);
+  sim::Task<Buf> HandleRename(rpc::Body args);
+  sim::Task<Buf> HandleLink(rpc::Body args);
+  sim::Task<Buf> HandleReadDir(rpc::Body args);
+  sim::Task<Buf> HandleFsStat(rpc::Body args);
+  sim::Task<Buf> HandleCommit(rpc::Body args);
 
   /// Charges base service time (plus per-block time for `blocks` blocks).
   /// Returns the Sleep awaitable directly — a full coroutine frame per

@@ -15,6 +15,10 @@ constexpr std::size_t kDatagramOverhead = 28 + 72;
 constexpr std::uint32_t kMsgCall = 0;
 constexpr std::uint32_t kMsgReply = 1;
 
+// Header bytes up to and including the body's opaque length.
+constexpr std::size_t kCallHeader = 44;
+constexpr std::size_t kReplyHeader = 16;
+
 std::uint64_t ProgProcKey(std::uint32_t prog, std::uint32_t proc) {
   return (static_cast<std::uint64_t>(prog) << 32) | proc;
 }
@@ -116,15 +120,15 @@ void RpcNode::SetDown(bool down) {
 }
 
 void RpcNode::SendCall(net::Address dst, std::uint32_t xid, std::uint32_t prog,
-                       std::uint32_t proc, const Bytes& args, bool tracked,
+                       std::uint32_t proc, const Body& args, bool tracked,
                        StatsMap::Handle stat_handle, std::uint64_t trace_id,
                        std::uint64_t span_id, std::uint64_t parent_span_id) {
-  xdr::Encoder enc;
-  // Fixed 40-byte call header, written through one reserved window: xid,
-  // msg type, prog, proc, then the causal-span triple (Dapper-style; lets
-  // the receiving handler extend the caller's trace across the node
-  // boundary). Same wire layout as per-field Puts.
-  std::uint8_t* h = enc.Reserve(40);
+  xdr::Encoder enc(kCallHeader);
+  // Fixed call header, written through one reserved window: xid, msg type,
+  // prog, proc, the causal-span triple (Dapper-style; lets the receiving
+  // handler extend the caller's trace across the node boundary), then the
+  // arguments' opaque length. Same wire layout as per-field Puts.
+  std::uint8_t* h = enc.Reserve(kCallHeader);
   xdr::Encoder::StoreBe32(h, xid);
   xdr::Encoder::StoreBe32(h + 4, kMsgCall);
   xdr::Encoder::StoreBe32(h + 8, prog);
@@ -132,39 +136,39 @@ void RpcNode::SendCall(net::Address dst, std::uint32_t xid, std::uint32_t prog,
   xdr::Encoder::StoreBe64(h + 16, trace_id);
   xdr::Encoder::StoreBe64(h + 24, span_id);
   xdr::Encoder::StoreBe64(h + 32, parent_span_id);
-  enc.PutOpaque(args);
-
-  net::Packet packet;
-  packet.src = address_;
-  packet.dst = dst;
-  packet.payload = enc.Take();
-  packet.wire_size = packet.payload.size() + kDatagramOverhead;
-
+  xdr::Encoder::StoreBe32(h + 40, static_cast<std::uint32_t>(args.size()));
+  net::Packet packet = Frame(dst, enc.Take(), args);
   if (tracked) stats_->Count(stat_handle, packet.wire_size);
   network_.Send(std::move(packet));
 }
 
 void RpcNode::SendReply(net::Address dst, std::uint32_t xid, AcceptStat stat,
-                        const Bytes& body) {
-  xdr::Encoder enc;
-  // Fixed 12-byte reply header: xid, msg type, accept stat.
-  std::uint8_t* h = enc.Reserve(12);
+                        const Body& body) {
+  xdr::Encoder enc(kReplyHeader);
+  // Fixed reply header: xid, msg type, accept stat, the body's opaque length.
+  std::uint8_t* h = enc.Reserve(kReplyHeader);
   xdr::Encoder::StoreBe32(h, xid);
   xdr::Encoder::StoreBe32(h + 4, kMsgReply);
   xdr::Encoder::StoreBe32(h + 8, static_cast<std::uint32_t>(stat));
-  enc.PutOpaque(body);
+  xdr::Encoder::StoreBe32(h + 12, static_cast<std::uint32_t>(body.size()));
+  network_.Send(Frame(dst, enc.Take(), body));
+}
 
+net::Packet RpcNode::Frame(net::Address dst, Buf head, const Body& body) const {
   net::Packet packet;
   packet.src = address_;
   packet.dst = dst;
-  packet.payload = enc.Take();
-  packet.wire_size = packet.payload.size() + kDatagramOverhead;
-  network_.Send(std::move(packet));
+  // The body goes out as an XDR opaque behind the header: padded to 4 bytes.
+  packet.wire_size =
+      head.size() + xdr::Encoder::Padded(body.size()) + kDatagramOverhead;
+  packet.head = std::move(head);
+  packet.body = body;
+  return packet;
 }
 
 sim::Task<Expected<Body, RpcError>> RpcNode::Call(net::Address dst,
                                                   std::uint32_t prog,
-                                                  std::uint32_t proc, Bytes args,
+                                                  std::uint32_t proc, Body args,
                                                   CallOptions opts) {
   if (down_) co_return Unexpected(RpcError::kHostDown);
 
@@ -205,8 +209,6 @@ sim::Task<Expected<Body, RpcError>> RpcNode::Call(net::Address dst,
                opts.label.c_str(), xid, attempt + 1);
   }
   pending_.Erase(xid);
-  // The args buffer usually came from an Encoder; recycle its capacity.
-  xdr::detail::ArenaRelease(std::move(args));
   if (tracer_.enabled()) {
     tracer_.Rpc(reply.has_value() ? trace::EventType::kRpcReply
                                   : trace::EventType::kRpcTimeout,
@@ -232,7 +234,7 @@ sim::Task<Expected<Body, RpcError>> RpcNode::Call(net::Address dst,
 void RpcNode::OnPacket(net::Packet packet) {
   if (down_) return;
 
-  xdr::Decoder dec(packet.payload);
+  xdr::Decoder dec(packet.head);
   // Headers are fixed-layout; read them through one bounds-checked window
   // per branch instead of per-field Expected unwrapping.
   const std::uint8_t* h = dec.GetRaw(8);
@@ -241,22 +243,15 @@ void RpcNode::OnPacket(net::Packet packet) {
   const std::uint32_t msg_type = xdr::Decoder::LoadBe32(h + 4);
 
   if (msg_type == kMsgReply) {
-    const std::uint8_t* rh = dec.GetRaw(4);
+    const std::uint8_t* rh = dec.GetRaw(kReplyHeader - 8);
     if (rh == nullptr) return;
     const std::uint32_t stat = xdr::Decoder::LoadBe32(rh);
     auto* found = pending_.Find(xid);
     if (found == nullptr) return;  // late reply after timeout; drop
-    auto body = dec.GetOpaque();
-    if (!body) return;
+    if (xdr::Decoder::LoadBe32(rh + 4) != packet.body.size()) return;
     PendingCall& pc = **found;
     if (pc.reply.has_value()) return;  // duplicate reply; first wins
-    // Zero-copy handoff: the reply body is a window into the datagram
-    // buffer, which moves into the Body (and back to the arena when the
-    // caller drops it).
-    const std::size_t offset =
-        static_cast<std::size_t>(body->ptr - packet.payload.data());
-    pc.reply = Reply{static_cast<AcceptStat>(stat),
-                     Body(std::move(packet.payload), offset, body->len)};
+    pc.reply = Reply{static_cast<AcceptStat>(stat), std::move(packet.body)};
     if (pc.waiter) {
       auto waiter = std::exchange(pc.waiter, {});
       // Cancel-then-post mirrors OneShot::Set exactly, so the event sequence
@@ -267,9 +262,9 @@ void RpcNode::OnPacket(net::Packet packet) {
     return;
   }
 
-  // Incoming call: fixed 32-byte remainder of the header (prog, proc, and
-  // the causal-span triple).
-  const std::uint8_t* ch = dec.GetRaw(32);
+  // Incoming call: the rest of the header (prog, proc, the causal-span
+  // triple and the arguments' length).
+  const std::uint8_t* ch = dec.GetRaw(kCallHeader - 8);
   if (ch == nullptr) return;
   const std::uint32_t prog = xdr::Decoder::LoadBe32(ch);
   const std::uint32_t proc = xdr::Decoder::LoadBe32(ch + 4);
@@ -298,14 +293,10 @@ void RpcNode::OnPacket(net::Packet packet) {
     return;
   }
 
-  auto args = dec.GetOpaque();
-  if (!args) {
+  if (xdr::Decoder::LoadBe32(ch + 32) != packet.body.size()) {
     SendReply(packet.src, xid, AcceptStat::kGarbageArgs, {});
     return;
   }
-  const std::size_t offset =
-      static_cast<std::size_t>(args->ptr - packet.payload.data());
-  Body body(std::move(packet.payload), offset, args->len);
   DrcInsert(key);
   if (tracer_.enabled()) {
     tracer_.Rpc(trace::EventType::kRpcExec, address_.host, address_.port,
@@ -315,12 +306,12 @@ void RpcNode::OnPacket(net::Packet packet) {
   // The handler executes inside the caller's span (shared-span model); any
   // RPCs it issues become children by passing ctx.span as their parent.
   CallContext ctx{packet.src, xid, trace::SpanRef{trace_id, span_id}};
-  sim::Spawn(RunHandler(*handler, ctx, std::move(body), key));
+  sim::Spawn(RunHandler(*handler, ctx, std::move(packet.body), key));
 }
 
 sim::Task<void> RpcNode::RunHandler(const Handler& handler, CallContext ctx,
                                     Body args, DrcKey key) {
-  Bytes body = co_await handler(ctx, std::move(args));
+  Body body = co_await handler(ctx, std::move(args));
   if (down_) co_return;  // crashed while serving; no reply
   // Closes the server-side execution interval opened by kRpcExec, so the
   // exporter can render the handler as a duration slice.
@@ -330,15 +321,11 @@ sim::Task<void> RpcNode::RunHandler(const Handler& handler, CallContext ctx,
                 ctx.span.trace_id, ctx.span.span_id, 0);
   }
   SendReply(ctx.caller, ctx.xid, AcceptStat::kSuccess, body);
-  // The DRC takes the reply buffer by move (SendReply already copied it into
-  // the outgoing packet), avoiding a per-call copy; buffers come from
-  // per-handler Encoders and return to the arena when evicted (DrcTrim).
+  // The cache shares the reply with the packet that carries it.
   if (DrcEntry* entry = drc_.Find(key); entry != nullptr) {
     entry->completed = true;
     entry->stat = AcceptStat::kSuccess;
     entry->reply = std::move(body);
-  } else {
-    xdr::detail::ArenaRelease(std::move(body));
   }
 }
 
@@ -350,10 +337,7 @@ void RpcNode::DrcInsert(const DrcKey& key) {
 
 void RpcNode::DrcTrim() {
   while (drc_order_.size() > kDrcCapacity) {
-    DrcEntry evicted;
-    if (drc_.Extract(drc_order_.front(), &evicted)) {
-      xdr::detail::ArenaRelease(std::move(evicted.reply));
-    }
+    drc_.Erase(drc_order_.front());
     drc_order_.pop_front();
   }
 }

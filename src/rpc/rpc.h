@@ -12,9 +12,11 @@
 //     index), not a map lookup;
 //   - pending calls and the duplicate-request cache live in open-addressed
 //     FlatMaps;
-//   - received bodies are zero-copy: rpc::Body is a window into the datagram
-//     buffer, which it owns and recycles into the XDR encode arena when
-//     dropped;
+//   - bodies are never copied: a call's arguments, a reply, the packets that
+//     carry them, their retransmissions and the duplicate-request cache all
+//     share one Buf (common/buf.h); a packet carries the RPC header and the
+//     body as two Bufs, so a proxy forwards a body it received without
+//     copying it;
 //   - per-procedure stats go through pre-resolved StatsMap handles cached by
 //     (prog, proc).
 #pragma once
@@ -52,62 +54,10 @@ enum class RpcError {
 
 const char* RpcErrorName(RpcError e);
 
-/// A received RPC message body: a zero-copy window into the datagram that
-/// carried it. Owns the datagram buffer and recycles it into the XDR encode
-/// arena on destruction, closing the buffer lifecycle (Encoder -> packet ->
-/// Body -> arena). Decode through the ByteView conversion; call ToBytes()
-/// for the rare paths that need an owned copy.
-///
-/// NOTE: ctors are user-declared (non-aggregate) on purpose — same GCC 12
-/// by-value coroutine parameter rule as CallOptions below.
-class Body {
- public:
-  Body() = default;
-  /// Takes ownership of `buffer`; the body is buffer[offset, offset+len).
-  Body(Bytes buffer, std::size_t offset, std::size_t len)
-      : buffer_(std::move(buffer)), offset_(offset), len_(len) {}
-
-  Body(Body&& o) noexcept
-      : buffer_(std::move(o.buffer_)),
-        offset_(std::exchange(o.offset_, 0)),
-        len_(std::exchange(o.len_, 0)) {}
-
-  Body& operator=(Body&& o) noexcept {
-    if (this != &o) {
-      Release();
-      buffer_ = std::move(o.buffer_);
-      offset_ = std::exchange(o.offset_, 0);
-      len_ = std::exchange(o.len_, 0);
-    }
-    return *this;
-  }
-
-  Body(const Body&) = delete;
-  Body& operator=(const Body&) = delete;
-
-  ~Body() { Release(); }
-
-  const std::uint8_t* data() const { return buffer_.data() + offset_; }
-  std::size_t size() const { return len_; }
-  bool empty() const { return len_ == 0; }
-
-  ByteView view() const { return ByteView(data(), len_); }
-  operator ByteView() const { return view(); }  // NOLINT: view adaptor
-
-  /// Ownership escape hatch: materializes just the body bytes.
-  Bytes ToBytes() const { return Bytes(data(), data() + len_); }
-
- private:
-  void Release() {
-    if (buffer_.capacity() != 0) xdr::detail::ArenaRelease(std::move(buffer_));
-    offset_ = 0;
-    len_ = 0;
-  }
-
-  Bytes buffer_;
-  std::size_t offset_ = 0;
-  std::size_t len_ = 0;
-};
+/// An RPC message body: the arguments of a call or the result of a reply,
+/// shared with the packets that carry it. Decode through nfs3::Parse, whose
+/// payload fields become slices of the body.
+using Body = Buf;
 
 /// Per-call knobs. `label` names the procedure in stats output.
 ///
@@ -144,7 +94,7 @@ struct CallContext {
 /// Handlers return the XDR-encoded reply body; protocol-level errors (e.g.
 /// NFS3ERR_*) ride inside that body as in real NFS.
 // gvfs-lint: allow(hot-path-type): handler erasure happens once at Register time; dispatch stores and calls it without re-wrapping
-using Handler = std::function<sim::Task<Bytes>(CallContext, Body)>;
+using Handler = std::function<sim::Task<Buf>(CallContext, Body)>;
 
 class RpcNode {
  public:
@@ -161,7 +111,7 @@ class RpcNode {
 
   /// Issues a call and awaits the matching reply, retransmitting on timeout.
   sim::Task<Expected<Body, RpcError>> Call(net::Address dst, std::uint32_t prog,
-                                           std::uint32_t proc, Bytes args,
+                                           std::uint32_t proc, Body args,
                                            CallOptions opts);
 
   /// Attaches a per-procedure stats sink (counts outgoing calls). May be null.
@@ -214,7 +164,7 @@ class RpcNode {
   struct DrcEntry {
     bool completed = false;
     AcceptStat stat = AcceptStat::kSuccess;
-    Bytes reply;
+    Body reply;
   };
 
   struct DrcKey {
@@ -252,11 +202,13 @@ class RpcNode {
                                  const std::string& label);
 
   void SendCall(net::Address dst, std::uint32_t xid, std::uint32_t prog,
-                std::uint32_t proc, const Bytes& args, bool tracked,
+                std::uint32_t proc, const Body& args, bool tracked,
                 StatsMap::Handle stat_handle, std::uint64_t trace_id,
                 std::uint64_t span_id, std::uint64_t parent_span_id);
   void SendReply(net::Address dst, std::uint32_t xid, AcceptStat stat,
-                 const Bytes& body);
+                 const Body& body);
+  /// A packet from this node to `dst`: `head` (the RPC header) then `body`.
+  net::Packet Frame(net::Address dst, Buf head, const Body& body) const;
   sim::Task<void> RunHandler(const Handler& handler, CallContext ctx,
                              Body args, DrcKey key);
   void DrcInsert(const DrcKey& key);

@@ -5,19 +5,19 @@
 // message sizes on the simulated wire match what a real XDR stack would send.
 //
 // Both halves are built for the per-message hot path:
-//   - Encoder borrows its buffer from a process-wide arena (detail::Arena)
-//     and writes with bulk memcpy instead of per-byte push_back. Take()
-//     transfers the buffer to the caller (it becomes the packet payload);
-//     whoever ends up owning it returns it with detail::ArenaRelease so the
-//     capacity is recycled into the next message.
+//   - Encoder writes into a Buf backing from the process-wide arena
+//     (common/buf.h) with bulk memcpy instead of per-byte push_back. Take()
+//     hands the bytes out as a Buf (the message); when its last holder drops
+//     it, the backing goes back to the arena for the next message.
 //   - Decoder is zero-copy: GetOpaque/GetFixedOpaque/GetString return views
-//     (View / StrView) into the message buffer rather than fresh allocations.
-//     Callers that outlive the buffer take ownership explicitly via .Copy().
+//     (View / StrView) into the message rather than fresh allocations, and
+//     a decoder over a Buf hands a payload field out as a slice of it.
 //
 // Messages do not call them field by field: each lists its fields once and
-// the generic Writer/Reader at the bottom of this file run that list.
+// the generic Sizer/Writer/Reader at the bottom of this file run that list.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -27,41 +27,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/buf.h"
 #include "common/expected.h"
 #include "common/types.h"
 
 namespace gvfs::xdr {
-
-namespace detail {
-
-/// Process-wide recycling pool for encode buffers. The simulator is
-/// single-threaded, and every message buffer follows the same lifecycle
-/// (Encoder -> packet payload -> decoded body -> dropped), so a small LIFO
-/// stack of retired vectors keeps their capacity hot across messages.
-inline std::vector<Bytes>& ArenaPool() {
-  static std::vector<Bytes> pool;
-  return pool;
-}
-
-inline Bytes ArenaAcquire() {
-  std::vector<Bytes>& pool = ArenaPool();
-  if (pool.empty()) return Bytes();
-  Bytes buf = std::move(pool.back());
-  pool.pop_back();
-  // Deliberately NOT cleared: the Encoder tracks its own write cursor, and
-  // keeping the old size avoids re-zeroing bytes the next message will
-  // overwrite anyway.
-  return buf;
-}
-
-inline void ArenaRelease(Bytes&& buf) {
-  constexpr std::size_t kMaxPooled = 256;
-  std::vector<Bytes>& pool = ArenaPool();
-  if (buf.capacity() == 0 || pool.size() >= kMaxPooled) return;
-  pool.push_back(std::move(buf));
-}
-
-}  // namespace detail
 
 /// A borrowed window over decoded opaque bytes. Valid only while the decoded
 /// message buffer lives; call Copy() to take ownership.
@@ -98,24 +68,22 @@ struct StrView {
 inline bool operator==(const StrView& a, std::string_view b) { return a.sv == b; }
 inline bool operator==(std::string_view a, const StrView& b) { return a == b.sv; }
 
-/// Appends XDR-encoded primitives to an arena-recycled byte buffer.
+/// Appends XDR-encoded primitives to a Buf backing from the arena.
 ///
-/// The buffer is kept sized to its full capacity while encoding; a write
-/// cursor (pos_) tracks the logical message length. This turns each Put into
-/// a bounds check plus a store — one vector resize per capacity doubling
-/// instead of one per field — and the buffer is trimmed back to pos_ only
-/// when it escapes through bytes()/Take().
+/// A write cursor (pos_) tracks the message length inside the backing's
+/// capacity, so each Put is a bounds check plus a store; the backing is
+/// replaced by one twice as large only when a write runs past its end. An
+/// encoder given the message size up front never grows.
 class Encoder {
  public:
-  Encoder() : buf_(detail::ArenaAcquire()) {
-    // A recycled buffer keeps the size of the message it last carried; Grow
-    // only pays (one) value-initializing resize for bytes beyond that
-    // high-water mark, so steady-state messages never memset at all.
-    if (buf_.capacity() == 0) buf_.resize(kInitialCapacity);
-  }
+  Encoder() = default;
+  /// Room for an n-byte message up front; `exact` as in
+  /// detail::AcquireBacking.
+  explicit Encoder(std::size_t n, bool exact = false)
+      : b_(detail::AcquireBacking(n, exact)) {}
   Encoder(const Encoder&) = delete;
   Encoder& operator=(const Encoder&) = delete;
-  ~Encoder() { detail::ArenaRelease(std::move(buf_)); }
+  ~Encoder() { detail::Unref(b_); }
 
   void PutU32(std::uint32_t v) {
     std::uint8_t* p = Grow(4);
@@ -141,12 +109,11 @@ class Encoder {
     PutFixedOpaque(data, len);
   }
 
-  void PutOpaque(const Bytes& data) { PutOpaque(data.data(), data.size()); }
   void PutOpaque(ByteView data) { PutOpaque(data.data(), data.size()); }
 
   /// Fixed-length opaque: data + pad, no length prefix.
   void PutFixedOpaque(const std::uint8_t* data, std::size_t len) {
-    const std::size_t padded = (len + 3) & ~std::size_t{3};
+    const std::size_t padded = Padded(len);
     std::uint8_t* p = Grow(padded);
     // An empty vector's data() may be null, and memcpy from null is
     // undefined even for zero bytes.
@@ -175,14 +142,15 @@ class Encoder {
     std::memcpy(p, &be, 8);
   }
 
-  const Bytes& bytes() { return Trim(); }
+  /// The bytes written so far; valid until the next mutating call.
+  ByteView bytes() const { return ByteView(b_ == nullptr ? nullptr : b_->bytes(), pos_); }
 
-  /// Transfers the buffer out (it becomes, e.g., a packet payload). The
-  /// eventual owner should hand it back via detail::ArenaRelease.
-  Bytes Take() {
-    Trim();
+  /// Hands the message out (it becomes, e.g., a packet's body); the encoder
+  /// starts over empty.
+  Buf Take() {
+    Buf out(std::exchange(b_, nullptr), pos_);
     pos_ = 0;
-    return std::move(buf_);
+    return out;
   }
 
   std::size_t size() const { return pos_; }
@@ -190,9 +158,10 @@ class Encoder {
   /// Drops accumulated bytes but keeps the capacity, for encoder reuse.
   void Reset() { pos_ = 0; }
 
- private:
-  static constexpr std::size_t kInitialCapacity = 256;
+  /// An opaque of `len` bytes takes this many on the wire, padding included.
+  static constexpr std::size_t Padded(std::size_t len) { return (len + 3) & ~std::size_t{3}; }
 
+ private:
   static std::uint32_t HostToBe32(std::uint32_t v) {
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
     return v;
@@ -210,21 +179,25 @@ class Encoder {
   }
 
   std::uint8_t* Grow(std::size_t n) {
-    if (pos_ + n > buf_.size()) {
-      buf_.resize(std::max(pos_ + n, buf_.size() * 2));
-    }
-    std::uint8_t* p = buf_.data() + pos_;
+    if (b_ == nullptr || pos_ + n > b_->capacity) Regrow(pos_ + n);
+    std::uint8_t* p = b_->bytes() + pos_;
     pos_ += n;
     return p;
   }
 
-  /// Shrinks the buffer to the logical message length (no reallocation).
-  Bytes& Trim() {
-    buf_.resize(pos_);
-    return buf_;
+  /// Moves the message to a backing with room for `need` bytes.
+  void Regrow(std::size_t need) {
+    if (b_ == nullptr) {  // nothing written yet
+      b_ = detail::AcquireBacking(need, /*exact=*/false);
+      return;
+    }
+    detail::BufBacking* grown = detail::AcquireBacking(
+        std::max(need, std::size_t{b_->capacity} * 2), /*exact=*/false);
+    std::memcpy(grown->bytes(), b_->bytes(), pos_);
+    detail::Unref(std::exchange(b_, grown));
   }
 
-  Bytes buf_;
+  detail::BufBacking* b_ = nullptr;
   std::size_t pos_ = 0;
 };
 
@@ -235,6 +208,9 @@ enum class DecodeError { kTruncated, kBadValue };
 /// reads return views into the buffer: the buffer must outlive them.
 class Decoder {
  public:
+  /// Payload fields decoded from a Buf are slices of it; from anything
+  /// else, copies.
+  explicit Decoder(const Buf& buf) : data_(buf.data()), size_(buf.size()), source_(&buf) {}
   explicit Decoder(const Bytes& buf) : data_(buf.data()), size_(buf.size()) {}
   explicit Decoder(ByteView buf) : data_(buf.data()), size_(buf.size()) {}
   Decoder(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
@@ -340,10 +316,18 @@ class Decoder {
   std::size_t pos() const { return pos_; }
   bool AtEnd() const { return pos_ == size_; }
 
+  /// A decoded opaque as a Buf: a slice of the source Buf, or a copy when
+  /// the decoder reads plain bytes.
+  Buf Share(View v) const {
+    if (source_ == nullptr) return Buf::Copy(v);
+    return source_->Slice(static_cast<std::size_t>(v.ptr - data_), v.len);
+  }
+
  private:
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
+  const Buf* source_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -360,14 +344,17 @@ class Decoder {
 //
 // Writer runs the list over a const message and Reader over a mutable one,
 // so encoding and decoding cannot drift apart (the one-filter-per-type idea
-// of Sun's xdr_<type> routines, RFC 4506). A field encodes by its type:
+// of Sun's xdr_<type> routines, RFC 4506); Sizer runs it first to measure
+// the message. A field encodes by its type:
 //   std::uint32_t, std::uint64_t, std::int64_t   unsigned int / hyper
 //   bool                                          bool (a value above 1 is kBadValue)
 //   enum                                          u32, cast back without validation
-//   std::string, Bytes                            variable-length opaque
+//   std::string                                   variable-length opaque, copied out
+//   Buf                                           variable-length opaque, a slice of
+//                                                 the message when decoded from a Buf
 //   std::optional<T>                              presence bool, then T if present
 //   std::vector<T>                                u32 count, then each element
-//   struct with Encode/Decode                     its own fused fixed layout
+//   struct with Encode/Decode and kXdrSize        its own fused fixed layout
 //   struct with Xdr                               its field list
 
 template <typename T>
@@ -379,6 +366,49 @@ template <typename T>
 inline constexpr bool kIsVector = false;
 template <typename T>
 inline constexpr bool kIsVector<std::vector<T>> = true;
+
+/// Measures what a Writer writes: the encoded size, and how much of it is
+/// payload (Buf fields).
+class Sizer {
+ public:
+  template <typename... Fields>
+  void operator()(const Fields&... fields) {
+    (Add(fields), ...);
+  }
+
+  std::size_t size() const { return size_; }
+  std::size_t payload() const { return payload_; }
+
+ private:
+  template <typename T>
+  void Add(const T& v) {
+    if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool> ||
+                  std::is_same_v<T, std::uint32_t>) {
+      size_ += 4;
+    } else if constexpr (std::is_same_v<T, std::uint64_t> ||
+                         std::is_same_v<T, std::int64_t>) {
+      size_ += 8;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      size_ += 4 + Encoder::Padded(v.size());
+    } else if constexpr (std::is_same_v<T, Buf>) {
+      size_ += 4 + Encoder::Padded(v.size());
+      payload_ += v.size();
+    } else if constexpr (kIsOptional<T>) {
+      size_ += 4;
+      if (v) Add(*v);
+    } else if constexpr (kIsVector<T>) {
+      size_ += 4;
+      for (const auto& element : v) Add(element);
+    } else if constexpr (requires { T::kXdrSize; }) {
+      size_ += T::kXdrSize;
+    } else {
+      T::Xdr(*this, v);
+    }
+  }
+
+  std::size_t size_ = 0;
+  std::size_t payload_ = 0;
+};
 
 /// Encodes fields into an Encoder.
 class Writer {
@@ -404,7 +434,7 @@ class Writer {
       enc_.PutU64(static_cast<std::uint64_t>(v));
     } else if constexpr (std::is_same_v<T, std::string>) {
       enc_.PutString(v);
-    } else if constexpr (std::is_same_v<T, Bytes>) {
+    } else if constexpr (std::is_same_v<T, Buf>) {
       enc_.PutOpaque(v);
     } else if constexpr (kIsOptional<T>) {
       enc_.PutBool(v.has_value());
@@ -423,8 +453,8 @@ class Writer {
 };
 
 /// Decodes fields from a Decoder. The first error sticks: every later field
-/// is skipped and keeps its value. Strings and opaques are copied out of the
-/// buffer.
+/// is skipped and keeps its value. Strings are copied out of the buffer; a
+/// Buf field shares it when the decoder reads a Buf.
 class Reader {
  public:
   explicit Reader(Decoder& dec) : dec_(dec) {}
@@ -452,9 +482,9 @@ class Reader {
       auto s = dec_.GetString();
       if (s) v.assign(s->sv);
       else error_ = s.error();
-    } else if constexpr (std::is_same_v<T, Bytes>) {
+    } else if constexpr (std::is_same_v<T, Buf>) {
       auto o = dec_.GetOpaque();
-      if (o) v.assign(o->begin(), o->end());
+      if (o) v = dec_.Share(*o);
       else error_ = o.error();
     } else if constexpr (kIsOptional<T>) {
       bool present = false;

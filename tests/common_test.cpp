@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/buf.h"
 #include "common/expected.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -210,6 +211,63 @@ TEST(FlatMapTest, ChurnMatchesReferenceMap) {
     EXPECT_EQ(v, it->second);
   });
   EXPECT_EQ(visited, ref.size());
+}
+
+// ---------------------------------------------------------------------------
+// Buf
+// ---------------------------------------------------------------------------
+
+TEST(BufTest, CopiesAndSlicesShareTheBacking) {
+  const Buf block = Buf::Copy(Bytes{1, 2, 3, 4, 5});
+  EXPECT_TRUE(block.unique());
+  const Buf copy = block;
+  const Buf slice = block.Slice(1, 3);
+  EXPECT_EQ(copy.data(), block.data());
+  EXPECT_EQ(slice.data(), block.data() + 1);
+  EXPECT_EQ(slice, (Bytes{2, 3, 4}));
+  EXPECT_FALSE(block.unique());
+}
+
+TEST(BufTest, ASharedBlockIsCopiedOnWrite) {
+  const Buf original = Buf::Copy(Bytes{1, 2, 3, 4});
+  Buf writer = original;
+  writer.Write(1, Bytes{9});
+  EXPECT_EQ(original, (Bytes{1, 2, 3, 4}));  // the other holder sees no change
+  EXPECT_EQ(writer, (Bytes{1, 9, 3, 4}));
+  EXPECT_NE(writer.data(), original.data());
+  EXPECT_TRUE(writer.unique());
+  EXPECT_TRUE(original.unique());
+}
+
+TEST(BufTest, ASolelyHeldBlockIsWrittenInPlace) {
+  Buf block = Buf::Copy(Bytes{1, 2, 3, 4});
+  const std::uint8_t* bytes = block.data();
+  block.Write(2, Bytes{7, 8});
+  EXPECT_EQ(block.data(), bytes);
+  EXPECT_EQ(block, (Bytes{1, 2, 7, 8}));
+}
+
+TEST(BufTest, WritePastTheEndGrowsWithZeros) {
+  Buf block;
+  block.Write(3, Bytes{5});
+  EXPECT_EQ(block, (Bytes{0, 0, 0, 5}));
+  block.Write(6, Bytes{6});
+  EXPECT_EQ(block, (Bytes{0, 0, 0, 5, 0, 0, 6}));
+}
+
+TEST(BufTest, ABackingWhoseCountReachesZeroReturnsToTheArena) {
+  Buf message = Buf::Copy(Bytes(100, 1));
+  const std::uint8_t* bytes = message.data();
+  Buf payload = message.Slice(10, 20);
+  const std::size_t pooled = detail::PooledBackings();
+  message = Buf();
+  EXPECT_EQ(detail::PooledBackings(), pooled);  // the slice still holds it
+  payload = Buf();
+  EXPECT_EQ(detail::PooledBackings(), pooled + 1);
+  // The next buffer of that size reuses it instead of allocating.
+  const Buf next = Buf::Copy(Bytes(100, 2));
+  EXPECT_EQ(next.data(), bytes);
+  EXPECT_EQ(detail::PooledBackings(), pooled);
 }
 
 }  // namespace

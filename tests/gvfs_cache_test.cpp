@@ -207,7 +207,7 @@ TEST(GvfsProtoTest, RecoveryRoundTrip) {
 }
 
 TEST(GvfsProtoTest, GrantSuffixAppendExtract) {
-  Bytes body = {1, 2, 3, 4};
+  Buf body = Bytes{1, 2, 3, 4};
   GrantSuffix suffix;
   suffix.delegation = DelegationType::kWrite;
   suffix.AppendTo(body);
@@ -219,14 +219,14 @@ TEST(GvfsProtoTest, GrantSuffixAppendExtract) {
 }
 
 TEST(GvfsProtoTest, GrantSuffixAbsent) {
-  Bytes body = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  Buf body = Bytes{1, 2, 3, 4, 5, 6, 7, 8, 9};
   GrantSuffix extracted = GrantSuffix::ExtractFrom(body);
   EXPECT_EQ(extracted.delegation, DelegationType::kNone);
   EXPECT_EQ(body.size(), 9u);  // untouched
 }
 
 TEST(GvfsProtoTest, GrantSuffixShortBody) {
-  Bytes body = {1};
+  Buf body = Bytes{1};
   GrantSuffix extracted = GrantSuffix::ExtractFrom(body);
   EXPECT_EQ(extracted.delegation, DelegationType::kNone);
   EXPECT_EQ(body.size(), 1u);

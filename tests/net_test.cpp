@@ -163,13 +163,19 @@ TEST_F(NetworkTest, StatsTrackPacketsAndBytes) {
 }
 
 TEST_F(NetworkTest, PayloadArrivesIntact) {
-  Bytes got;
-  network_.SetReceiver(b_, [&](Packet p) { got = std::move(p.payload); });
+  Bytes head;
+  Bytes body;
+  network_.SetReceiver(b_, [&](Packet p) {
+    head = p.head.ToBytes();
+    body = p.body.ToBytes();
+  });
   Packet p = MakePacket(a_, b_, 64);
-  p.payload = {1, 2, 3, 4};
+  p.head = Bytes{1, 2, 3, 4};
+  p.body = Bytes{5, 6};
   network_.Send(std::move(p));
   sched_.Run();
-  EXPECT_EQ(got, (Bytes{1, 2, 3, 4}));
+  EXPECT_EQ(head, (Bytes{1, 2, 3, 4}));
+  EXPECT_EQ(body, (Bytes{5, 6}));
 }
 
 TEST_F(NetworkTest, HostNames) {

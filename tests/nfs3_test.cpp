@@ -54,7 +54,7 @@ TEST(Nfs3ProtoTest, FattrDecodeRejectsEveryTruncation) {
   attr.fileid = 42;
   xdr::Encoder enc;
   attr.Encode(enc);
-  const Bytes& wire = enc.bytes();
+  const ByteView wire = enc.bytes();
   ASSERT_EQ(wire.size(), 60u) << "Fattr wire layout changed";
   for (std::size_t len = 0; len < wire.size(); ++len) {
     xdr::Decoder dec(wire.data(), len);
@@ -111,9 +111,8 @@ TEST(Nfs3ProtoTest, SetAttrArgsOptionalFields) {
 TEST(Nfs3ProtoTest, ParseRejectsTruncated) {
   GetAttrRes res;
   res.attr.size = 1;
-  Bytes wire = Serialize(res);
-  wire.resize(wire.size() / 2);
-  EXPECT_FALSE(Parse<GetAttrRes>(wire).has_value());
+  const Buf wire = Serialize(res);
+  EXPECT_FALSE(Parse<GetAttrRes>(wire.Slice(0, wire.size() / 2)).has_value());
 }
 
 TEST(Nfs3ProtoTest, ProcNames) {

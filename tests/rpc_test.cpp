@@ -17,7 +17,7 @@ constexpr std::uint32_t kProcEcho = 1;
 constexpr std::uint32_t kProcSlow = 2;
 constexpr std::uint32_t kProcCount = 3;
 
-sim::Task<Bytes> EchoHandler(CallContext, Body args) { co_return args.ToBytes(); }
+sim::Task<Buf> EchoHandler(CallContext, Body args) { co_return args; }
 
 class RpcTest : public ::testing::Test {
  protected:
@@ -84,7 +84,7 @@ TEST_F(RpcTest, EchoRoundTrip) {
 
 TEST_F(RpcTest, HandlerCanSleepInVirtualTime) {
   server_->RegisterHandler(kProg, kProcSlow,
-                           [this](CallContext, Body) -> sim::Task<Bytes> {
+                           [this](CallContext, Body) -> sim::Task<Buf> {
                              co_await sim::Sleep(sched_, Seconds(3));
                              co_return Bytes{1};
                            });
@@ -145,7 +145,7 @@ TEST_F(RpcTest, RetransmitSucceedsAfterPartitionHeals) {
 TEST_F(RpcTest, DuplicateRequestCachePreventsReExecution) {
   int executions = 0;
   server_->RegisterHandler(kProg, kProcCount,
-                           [this, &executions](CallContext, Body) -> sim::Task<Bytes> {
+                           [this, &executions](CallContext, Body) -> sim::Task<Buf> {
                              ++executions;
                              // Slower than the client's retransmit timer, so a
                              // retransmission always arrives mid-execution.
@@ -167,7 +167,7 @@ TEST_F(RpcTest, DuplicateRequestCachePreventsReExecution) {
 TEST_F(RpcTest, DuplicateAfterCompletionResendsCachedReply) {
   int executions = 0;
   server_->RegisterHandler(kProg, kProcCount,
-                           [&executions](CallContext, Body) -> sim::Task<Bytes> {
+                           [&executions](CallContext, Body) -> sim::Task<Buf> {
                              ++executions;
                              co_return Bytes{static_cast<std::uint8_t>(executions)};
                            });
@@ -265,7 +265,7 @@ TEST_F(RpcTest, ServerToClientCallbackWorks) {
 
 TEST_F(RpcTest, ConcurrentCallsMatchRepliesByXid) {
   server_->RegisterHandler(kProg, kProcSlow,
-                           [this](CallContext, Body args) -> sim::Task<Bytes> {
+                           [this](CallContext, Body args) -> sim::Task<Buf> {
                              // Delay inversely proportional to payload value so
                              // replies return out of order.
                              Bytes data = args.ToBytes();

@@ -53,9 +53,10 @@ Bytes Unhex(const std::string& hex) {
   return out;
 }
 
-Bytes WithGrantSuffix(Bytes bytes) {
-  proxy::GrantSuffix{proxy::DelegationType::kWrite}.AppendTo(bytes);
-  return bytes;
+Bytes WithGrantSuffix(const Bytes& bytes) {
+  Buf body = bytes;
+  proxy::GrantSuffix{proxy::DelegationType::kWrite}.AppendTo(body);
+  return body.ToBytes();
 }
 
 // ---------------------------------------------------------------------------
@@ -112,11 +113,11 @@ struct Golden {
 
 template <typename T>
 Golden Row(std::string name, const T& msg, std::string hex) {
-  return Golden{std::move(name), std::move(hex), nfs3::Serialize(msg),
+  return Golden{std::move(name), std::move(hex), nfs3::Serialize(msg).ToBytes(),
                 [](ByteView bytes) -> std::optional<Bytes> {
                   auto parsed = nfs3::Parse<T>(bytes);
                   if (!parsed) return std::nullopt;
-                  return nfs3::Serialize(*parsed);
+                  return nfs3::Serialize(*parsed).ToBytes();
                 }};
 }
 
@@ -375,8 +376,8 @@ class AfsWorld {
   std::map<std::uint32_t, Bytes>& received() { return received_; }
 
  private:
-  static sim::Task<Bytes> Reply(AfsWorld* world, std::uint32_t proc, Bytes args,
-                                Bytes reply) {
+  static sim::Task<Buf> Reply(AfsWorld* world, std::uint32_t proc, Bytes args,
+                              Bytes reply) {
     world->received_[proc] = std::move(args);
     co_return reply;
   }

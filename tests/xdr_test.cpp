@@ -19,7 +19,7 @@ TEST(XdrTest, U32RoundTrip) {
 TEST(XdrTest, U32BigEndianWire) {
   Encoder enc;
   enc.PutU32(0x01020304);
-  const Bytes& b = enc.bytes();
+  const ByteView b = enc.bytes();
   EXPECT_EQ(b[0], 0x01);
   EXPECT_EQ(b[1], 0x02);
   EXPECT_EQ(b[2], 0x03);
@@ -196,7 +196,7 @@ TEST(XdrTruncationSweep, EveryGetterEveryShortPrefix) {
   Bytes payload = {1, 2, 3, 4, 5};
   enc.PutOpaque(payload);
   enc.PutString("hello");
-  const Bytes& wire = enc.bytes();
+  const ByteView wire = enc.bytes();
 
   for (std::size_t len = 0; len < wire.size(); ++len) {
     Decoder dec(wire.data(), len);
@@ -294,7 +294,7 @@ TEST(XdrFixedWindow, ReserveStoreMatchesPut) {
   Encoder::StoreBe64(w + 4, 0x1122334455667788ULL);
   Encoder::StoreBe32(w + 12, 7);
 
-  EXPECT_EQ(put.bytes(), fused.bytes());
+  EXPECT_EQ(put.Take(), fused.Take());
 }
 
 TEST(XdrFixedWindow, LoadBeMatchesGet) {
@@ -339,7 +339,7 @@ struct Outer {
   Color color = Color::kRed;
   std::optional<std::int64_t> when;
   std::vector<Inner> items;
-  Bytes blob;
+  Buf blob;
   static void Xdr(auto& io, auto& m) { io(m.color, m.when, m.items, m.blob); }
 };
 
@@ -347,7 +347,7 @@ TEST(XdrFieldList, WriterAndReaderRunOneListBothWays) {
   const Outer out{Color::kBlue, -2, {{1, "a"}, {2, "bcdef"}}, Bytes{9, 9, 9}};
   Encoder enc;
   Writer{enc}(out);
-  const Bytes wire = enc.Take();
+  const Buf wire = enc.Take();
   // enum, present flag + hyper, count, 2 x (u32 + padded string), opaque
   EXPECT_EQ(wire.size(), 4u + 4 + 8 + 4 + (4 + 8) + (4 + 12) + 8);
 
@@ -362,6 +362,9 @@ TEST(XdrFieldList, WriterAndReaderRunOneListBothWays) {
   ASSERT_EQ(back.items.size(), 2u);
   EXPECT_EQ(back.items[1].name, "bcdef");
   EXPECT_EQ(back.blob, (Bytes{9, 9, 9}));
+  // Decoded from a Buf, the opaque is a slice of the message: its last
+  // field, 3 bytes plus 1 of padding.
+  EXPECT_EQ(back.blob.data(), wire.data() + wire.size() - 4);
 }
 
 TEST(XdrFieldList, ReaderKeepsTheFirstError) {
