@@ -310,13 +310,11 @@ sim::Task<VfsResult<void>> AfsClient::Close(Fd fd) {
   open_files_.erase(it);
   if (file.dirty) {
     // Store-on-close: ship the whole file back.
-    rpc::CallOptions opts = AfsRpc();
-    opts.label = "STOREDATA";
     Buf args = Serialize(StoreDataArgs{file.path, file_cache_[file.path].data});
-    auto reply = co_await node_.Call(server_, kAfsProgram, kStoreData, std::move(args),
-                                     std::move(opts));
-    if (!reply) co_return Unexpected(Status::kIo);
-    status_cache_.erase(file.path);  // size/mtime changed
+    auto stored = co_await StatusOp(&node_, server_, kStoreData, std::move(args),
+                                    "STOREDATA");
+    status_cache_.erase(file.path);  // size/mtime changed, or the store failed
+    if (!stored) co_return Unexpected(stored.error());
   }
   co_return Ok{};
 }

@@ -48,6 +48,20 @@ TEST_F(AfsTest, CreateWriteCloseReadBack) {
   EXPECT_EQ((*data)[0], 7);
 }
 
+TEST_F(AfsTest, CloseReportsAStoreTheServerRejects) {
+  // B removes the file A is writing; the store on A's close finds no file,
+  // and the close says so instead of losing the data silently.
+  auto& a = bed_.AfsMount(0);
+  auto& b = bed_.AfsMount(1);
+  auto fd = RunTask(bed_.sched(), a.Open("/f", kCreateWrite));
+  ASSERT_TRUE(fd.has_value());
+  ASSERT_TRUE(RunTask(bed_.sched(), a.Write(*fd, 0, Bytes(100, 7))).has_value());
+  ASSERT_TRUE(RunTask(bed_.sched(), b.Unlink("/f")).has_value());
+  auto closed = RunTask(bed_.sched(), a.Close(*fd));
+  ASSERT_FALSE(closed.has_value());
+  EXPECT_EQ(closed.error(), Status::kNoEnt);
+}
+
 TEST_F(AfsTest, StatusCacheValidUntilBroken) {
   auto& a = bed_.AfsMount(0);
   ASSERT_TRUE(bed_.fs().Create(bed_.fs().root(), "f", 0644).has_value());
