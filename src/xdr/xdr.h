@@ -34,7 +34,8 @@
 namespace gvfs::xdr {
 
 /// A borrowed window over decoded opaque bytes. Valid only while the decoded
-/// message buffer lives; call Copy() to take ownership.
+/// message buffer lives; call Copy() to take ownership (Decoder::Share turns
+/// it into a Buf).
 struct View {
   const std::uint8_t* ptr = nullptr;
   std::size_t len = 0;

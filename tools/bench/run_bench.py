@@ -55,6 +55,7 @@ CORE_BENCHMARKS = [
     "BM_DiskCacheBlockWrite",
     "BM_MemFsCreateWrite",
     "BM_SimulatedGetattrRoundTrip",
+    "BM_SimulatedWriteRoundTrip",
 ]
 
 
