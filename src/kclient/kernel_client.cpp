@@ -453,8 +453,8 @@ sim::Task<VfsResult<std::uint32_t>> KernelClient::Write(Fd fd, std::uint64_t off
       cached = fc->blocks.emplace(index, std::move(block)).first;
     }
 
-    // The one copy of a written block: application bytes into the page
-    // cache (in place when the cache holds the block's only reference).
+    // The first of a written block's two copies (the WRITE's encode is the
+    // second); in place when the cache holds the block's only reference.
     Buf& dst = cached->second.data;
     cached_bytes_ -= dst.size();
     dst.Write(in_block, ByteView(data.data() + consumed, take));
