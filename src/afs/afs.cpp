@@ -44,7 +44,7 @@ AfsServer::AfsServer(sim::Scheduler& sched, memfs::MemFs& fs, rpc::RpcNode& node
     : sched_(sched), fs_(fs), node_(node) {
   auto bind = [this, &node](AfsProc proc,
                             sim::Task<Buf> (AfsServer::*method)(rpc::CallContext,
-                                                                  rpc::Body)) {
+                                                                rpc::Body)) {
     node.RegisterHandler(kAfsProgram, proc,
                          [this, method](rpc::CallContext ctx, rpc::Body args) {
                            return (this->*method)(ctx, std::move(args));

@@ -62,6 +62,7 @@ std::size_t PooledBackings() { return Pool().size(); }
 Buf::Buf(const Bytes& bytes) : Buf(Copy(bytes)) {}
 
 void Buf::Write(std::size_t at, ByteView src) {
+  if (src.empty() && at <= len_) return;  // changes no byte
   const std::size_t end = std::max<std::size_t>(len_, at + src.size());
   if (unique() && off_ + end <= b_->capacity) {
     std::uint8_t* base = b_->bytes() + off_;
@@ -71,15 +72,16 @@ void Buf::Write(std::size_t at, ByteView src) {
     return;
   }
   // Copy on write: only the old bytes the write leaves standing move.
-  Buf copy = Build(end, [&](std::uint8_t* p) {
-    const std::size_t head = std::min<std::size_t>(len_, at);
-    if (head != 0) std::memcpy(p, data(), head);
-    if (at > len_) std::memset(p + len_, 0, at - len_);
-    if (!src.empty()) std::memcpy(p + at, src.data(), src.size());
-    const std::size_t tail = at + src.size();
-    if (tail < len_) std::memcpy(p + tail, data() + tail, len_ - tail);
-  });
-  *this = std::move(copy);
+  const std::size_t room = len_ != 0 && end > len_ ? std::bit_ceil(end) : end;
+  detail::BufBacking* copy = detail::AcquireBacking(room, /*exact=*/true);
+  std::uint8_t* p = copy->bytes();
+  const std::size_t head = std::min<std::size_t>(len_, at);
+  if (head != 0) std::memcpy(p, data(), head);
+  if (at > len_) std::memset(p + len_, 0, at - len_);
+  if (!src.empty()) std::memcpy(p + at, src.data(), src.size());
+  const std::size_t tail = at + src.size();
+  if (tail < len_) std::memcpy(p + tail, data() + tail, len_ - tail);
+  *this = Buf(copy, end);
 }
 
 }  // namespace gvfs

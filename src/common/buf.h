@@ -131,9 +131,22 @@ class Buf {
   /// Writes `src` at `at`, growing the Buf to cover it (a gap reads as
   /// zeros). The bytes change in place only when this Buf is the sole
   /// holder of its backing and the backing has room; otherwise the Buf first
-  /// moves to an exact copy of its own (copy on write), so no other holder
-  /// ever sees the write.
+  /// moves to a copy of its own (copy on write), so no other holder ever
+  /// sees the write. The copy is exact, except that a write extending a
+  /// non-empty Buf rounds it up to a power of two: a run of appends then
+  /// moves each byte a bounded number of times, and a 32 KB block filled by
+  /// appends still ends exact.
   void Write(std::size_t at, ByteView src);
+
+  /// As Write, but a write that starts the Buf and covers all of it shares
+  /// `src` instead of copying it.
+  void WriteShared(std::size_t at, const Buf& src) {
+    if (at == 0 && src.size() >= len_) {
+      *this = src;
+    } else {
+      Write(at, src);
+    }
+  }
 
   friend bool operator==(const Buf& a, const Buf& b) {
     return a.len_ == b.len_ &&

@@ -103,7 +103,7 @@ void InvAggregator::Ingest(const Fh& fh, HostId shard_host) {
 // ---------------------------------------------------------------------------
 
 sim::Task<Buf> InvAggregator::HandleGetInv(rpc::CallContext ctx,
-                                             rpc::Body args) {
+                                           rpc::Body args) {
   ++stats_.getinv_served;
   // A client's first GETINV registers it: from then on every ingested handle
   // must reach it (the kAggTier invariant holds the tier to that). A

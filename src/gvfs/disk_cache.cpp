@@ -108,11 +108,7 @@ void DiskCache::WriteIntoBlock(const nfs3::Fh& fh, std::uint64_t index,
                                std::uint64_t in_block, const Buf& data) {
   auto& block = files_[fh].blocks[index];
   cached_bytes_ -= block.data.size();
-  if (in_block == 0 && data.size() >= block.data.size()) {
-    block.data = data;
-  } else {
-    block.data.Write(in_block, data);
-  }
+  block.data.WriteShared(in_block, data);
   cached_bytes_ += block.data.size();
   block.dirty = true;
 }

@@ -218,9 +218,9 @@ net::Address ProxyClient::UpstreamFor(const std::optional<Fh>& fh) const {
 }
 
 sim::Task<std::optional<Buf>> ProxyClient::Upstream(std::uint32_t proc, Buf args,
-                                                      std::optional<Fh> granted_fh,
-                                                      std::string label,
-                                                      trace::SpanRef parent) {
+                                                    std::optional<Fh> granted_fh,
+                                                    std::string label,
+                                                    trace::SpanRef parent) {
   ++stats_.forwarded;
   rpc::CallOptions opts;
   opts.label = std::move(label);
@@ -848,8 +848,8 @@ sim::Task<Buf> ProxyClient::HandleSetAttr(rpc::CallContext ctx, rpc::Body args) 
 }
 
 sim::Task<Buf> ProxyClient::HandlePassthrough(std::uint32_t proc,
-                                                rpc::CallContext ctx,
-                                                rpc::Body args) {
+                                              rpc::CallContext ctx,
+                                              rpc::Body args) {
   auto body = co_await Upstream(proc, std::move(args), std::nullopt,
                                 nfs3::ProcName(proc), ctx.span);
   if (!body) co_return FailWith<nfs3::GetAttrRes>(Status::kIo);

@@ -147,7 +147,7 @@ class ProxyClient {
   sim::Task<Buf> HandleLink(rpc::CallContext ctx, rpc::Body args);
   sim::Task<Buf> HandleSetAttr(rpc::CallContext ctx, rpc::Body args);
   sim::Task<Buf> HandlePassthrough(std::uint32_t proc, rpc::CallContext ctx,
-                                     rpc::Body args);
+                                   rpc::Body args);
 
   // -- server-facing callback handlers --
   sim::Task<Buf> HandleCallback(rpc::CallContext ctx, rpc::Body args);
@@ -158,9 +158,9 @@ class ProxyClient {
   /// or nullopt on transport failure. `parent` chains the upstream call into
   /// the caller's trace (invalid => the call roots a new trace).
   sim::Task<std::optional<Buf>> Upstream(std::uint32_t proc, Buf args,
-                                           std::optional<nfs3::Fh> granted_fh,
-                                           std::string label,
-                                           trace::SpanRef parent = {});
+                                         std::optional<nfs3::Fh> granted_fh,
+                                         std::string label,
+                                         trace::SpanRef parent = {});
 
   /// Records a cached read-class serve into the session staleness probe.
   void RecordCachedRead(const nfs3::Fh& fh);

@@ -156,7 +156,7 @@ ProxyServer::OpInfo ProxyServer::Classify(std::uint32_t proc, const rpc::Body& a
 // ---------------------------------------------------------------------------
 
 sim::Task<Buf> ProxyServer::HandleNfs(std::uint32_t proc, rpc::CallContext ctx,
-                                        rpc::Body args) {
+                                      rpc::Body args) {
   // The staleness probe stamps new versions with the request's receipt time:
   // it precedes the upstream mtime, so a client that already read the new
   // data never appears stale against its own refresh.
@@ -318,7 +318,7 @@ sim::Task<void> ProxyServer::PropagateInvalidation(Fh fh, net::Address writer,
 }
 
 sim::Task<Buf> ProxyServer::HandleNotifyInv(rpc::CallContext ctx,
-                                              rpc::Body args) {
+                                            rpc::Body args) {
   ++stats_.notifyinv_received;
   auto parsed = nfs3::Parse<NotifyInvArgs>(args);
   if (parsed) {

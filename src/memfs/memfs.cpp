@@ -307,13 +307,7 @@ FsResult<std::uint64_t> MemFs::Write(InodeId id, std::uint64_t offset,
     const std::uint64_t in_block = pos - index * kBlockSize;
     const std::uint64_t take = std::min(kBlockSize - in_block, end - pos);
     if (node->blocks.size() <= index) node->blocks.resize(index + 1);
-    Buf& block = node->blocks[index];
-    const Buf piece = data.Slice(pos - offset, take);
-    if (in_block == 0 && take >= block.size()) {
-      block = piece;
-    } else {
-      block.Write(in_block, piece);
-    }
+    node->blocks[index].WriteShared(in_block, data.Slice(pos - offset, take));
     pos += take;
   }
   node->attr.mtime = node->attr.ctime = Now();

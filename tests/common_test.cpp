@@ -255,6 +255,30 @@ TEST(BufTest, WritePastTheEndGrowsWithZeros) {
   EXPECT_EQ(block, (Bytes{0, 0, 0, 5, 0, 0, 6}));
 }
 
+TEST(BufTest, AppendsMoveTheBytesALogarithmicNumberOfTimes) {
+  Buf file;
+  const std::uint8_t* bytes = nullptr;
+  int moves = 0;
+  for (int i = 0; i < 4096; ++i) {
+    file.Write(file.size(), Bytes{static_cast<std::uint8_t>(i)});
+    if (file.data() != bytes) ++moves;
+    bytes = file.data();
+  }
+  ASSERT_EQ(file.size(), 4096u);
+  EXPECT_EQ(file[4095], 0xff);
+  EXPECT_LE(moves, 13);  // into 1, 2, 4, ..., 4096 bytes
+}
+
+TEST(BufTest, ACoveringWriteSharesItsSource) {
+  Buf block = Buf::Copy(Bytes{1, 2});
+  const Buf src = Buf::Copy(Bytes{3, 4, 5});
+  block.WriteShared(0, src);
+  EXPECT_EQ(block.data(), src.data());
+  block.WriteShared(1, src.Slice(0, 1));  // partial: copied on write
+  EXPECT_EQ(block, (Bytes{3, 3, 5}));
+  EXPECT_EQ(src, (Bytes{3, 4, 5}));
+}
+
 TEST(BufTest, ABackingWhoseCountReachesZeroReturnsToTheArena) {
   Buf message = Buf::Copy(Bytes(100, 1));
   const std::uint8_t* bytes = message.data();
