@@ -37,8 +37,8 @@ BufBacking* AcquireBacking(std::size_t n, bool exact) {
       return top;
     }
     if (!exact) {
-      // Too small for this message: replace it with a larger one, as the
-      // arena's buffers used to grow in place.
+      // Too small for this message: replace it with a larger one, so the
+      // pooled backings grow to the sizes the messages in flight need.
       pool.pop_back();
       ::operator delete(top);
     }
