@@ -299,9 +299,8 @@ int RunMetrics(const std::string& prefix, Duration period) {
   // Bound: a cached read can miss a write for at most one polling period
   // plus the GETINV round trip plus the write's own propagation (§4.2).
   const double p99_us = static_cast<double>(staleness.Percentile(99));
-  const Duration rtt = 2 * net_config.wan.one_way_latency;
-  const double bound_us =
-      static_cast<double>((poll_period + 2 * rtt) / kMicrosecond);
+  const double bound_us = static_cast<double>(
+      workloads::StalenessBound(net_config, poll_period) / kMicrosecond);
   std::printf("staleness (polling session): %llu cached reads, p99 %.0f us, "
               "bound %.0f us (poll %0.1f s + 2 RTT)\n",
               static_cast<unsigned long long>(staleness.count()), p99_us,

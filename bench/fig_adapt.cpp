@@ -434,7 +434,7 @@ bool CheckClaims(const std::vector<Point>& points) {
 /// delegation has no polling path to bound, so it is exempt.
 bool CheckStaleness(const std::vector<Point>& points) {
   const Duration budget =
-      kPollPeriod + 4 * workloads::TestbedConfig{}.wan.one_way_latency;
+      workloads::StalenessBound(workloads::TestbedConfig{}, kPollPeriod);
   const auto budget_us = static_cast<std::uint64_t>(ToSeconds(budget) * 1e6);
   bool ok = true;
   for (const Point& p : points) {

@@ -329,7 +329,7 @@ bool CheckClaims(const std::vector<Point>& points, int bottom, int top) {
 /// printed so a silently-dead probe is still visible in the logs.
 bool CheckStaleness(const std::vector<Point>& points) {
   const Duration budget =
-      kPollPeriod + 4 * workloads::TestbedConfig{}.wan.one_way_latency;
+      workloads::StalenessBound(workloads::TestbedConfig{}, kPollPeriod);
   const auto budget_us = static_cast<std::uint64_t>(ToSeconds(budget) * 1e6);
   std::uint64_t sampled_points = 0;
   bool ok = true;

@@ -59,7 +59,7 @@ void BM_XdrOpaqueRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_XdrOpaqueRoundTrip)->Arg(1024)->Arg(32 * 1024);
 
 void BM_DiskCacheAttrLookup(benchmark::State& state) {
-  proxy::DiskCache cache(32 * 1024);
+  proxy::DiskCache cache;
   for (std::uint64_t i = 0; i < 10000; ++i) {
     nfs3::Fattr attr;
     attr.fileid = i;
@@ -74,7 +74,7 @@ void BM_DiskCacheAttrLookup(benchmark::State& state) {
 BENCHMARK(BM_DiskCacheAttrLookup);
 
 void BM_DiskCacheBlockWrite(benchmark::State& state) {
-  proxy::DiskCache cache(32 * 1024);
+  proxy::DiskCache cache;
   Bytes data(32 * 1024, 0x5a);
   std::uint64_t i = 0;
   for (auto _ : state) {

@@ -14,7 +14,7 @@ InvAggregator::InvAggregator(sim::Scheduler& sched, rpc::RpcNode& node,
       node_(node),
       config_(std::move(config)),
       inv_log_(InvLog::Role::kTier, node.tracer(), node.address().host,
-               config_.inv_buffer_capacity, config_.getinv_batch, faults) {
+               config_.inv_buffer_capacity, proxy::kGetInvBatch, faults) {
   shard_timestamps_.assign(config_.shards.size(), 0);
   node_.RegisterHandler(proxy::kGvfsProgram, proxy::kGetInv,
                         [this](rpc::CallContext ctx, rpc::Body args) {

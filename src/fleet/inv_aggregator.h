@@ -58,9 +58,6 @@ struct InvAggregatorConfig {
   /// per shard per period, regardless of downstream client count.
   Duration poll_period = Seconds(30);
 
-  /// Max handles per downstream GETINV reply (bigger sets poll again).
-  std::uint32_t getinv_batch = 512;
-
   /// Per-downstream-client owed-entry capacity; overflow breaks the client's
   /// incremental stream and escalates to a whole-cache invalidation.
   std::size_t inv_buffer_capacity = 8192;

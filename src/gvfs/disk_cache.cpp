@@ -161,7 +161,7 @@ std::vector<std::uint64_t> DiskCache::DirtyOffsets(const nfs3::Fh& fh) const {
   auto it = files_.find(fh);
   if (it == files_.end()) return out;
   for (const auto& [index, block] : it->second.blocks) {
-    if (block.dirty) out.push_back(index * block_size_);
+    if (block.dirty) out.push_back(index * memfs::kBlockSize);
   }
   return out;
 }

@@ -4,10 +4,11 @@
 //
 // Unlike the kernel client's memory caches, validity is not time-based:
 // entries stay valid until the session's consistency machinery invalidates
-// them (GETINV results, delegation recalls, TTL in passthrough mode). The
-// cache is "disk"-backed in the paper's design, so it is large and survives
-// client crashes — Crash() here preserves data but marks everything invalid,
-// exactly the recovery behaviour of §4.3.4.
+// them (GETINV results, delegation recalls). Blocks are memfs::kBlockSize
+// bytes, the NFS transfer size. The cache is "disk"-backed in the paper's
+// design, so it is large and survives client crashes — Crash() here
+// preserves data but marks everything invalid, exactly the recovery
+// behaviour of §4.3.4.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +43,6 @@ class DiskCache {
   };
 
   static constexpr std::uint64_t kNoReadYet = ~std::uint64_t{0};
-
-  explicit DiskCache(std::uint32_t block_size) : block_size_(block_size) {}
-
-  std::uint32_t block_size() const { return block_size_; }
 
   // -- attributes --
 
@@ -121,7 +118,6 @@ class DiskCache {
  private:
   void DropCleanBlocks(FileEntry& file);
 
-  std::uint32_t block_size_;
   struct LookupEntry {
     nfs3::Fh child;
     SimTime dir_mtime = 0;  // entry valid only while the dir mtime matches

@@ -59,6 +59,10 @@ struct GetInvRes {
   }
 };
 
+/// Max handles per GETINV reply, from a proxy server or the aggregation
+/// tier; a client owed more gets poll_again and asks again at once.
+constexpr std::uint32_t kGetInvBatch = 512;
+
 // ---------------------------------------------------------------------------
 // NOTIFYINV (shard -> shard)
 // ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@
 // from its disk cache whenever the session's consistency model says the
 // cached state is valid:
 //
-//  - TTL model: attribute entries valid for a fixed period.
 //  - Invalidation polling (§4.2): entries valid until a GETINV poll
 //    invalidates them; a background poller with optional exponential
 //    back-off keeps the window bounded.

@@ -17,7 +17,7 @@ ProxyServer::ProxyServer(sim::Scheduler& sched, rpc::RpcNode& node,
       config_(std::move(config)),
       faults_(faults != nullptr ? *faults : FaultHooks{}),
       inv_log_(InvLog::Role::kServer, node.tracer(), node.address().host,
-               config_.inv_buffer_capacity, config_.getinv_batch),
+               config_.inv_buffer_capacity, kGetInvBatch),
       grace_over_(sched) {
   // NFS procedures pass through (with consistency handling around them).
   static constexpr std::uint32_t kProcs[] = {
@@ -565,7 +565,7 @@ sim::Task<void> ProxyServer::EnsureBlockWrittenBack(Fh fh, net::Address requeste
                                                     trace::SpanRef parent) {
   auto it = files_.find(fh);
   if (it == files_.end()) co_return;
-  const std::uint64_t block_offset = offset - offset % config_.block_size;
+  const std::uint64_t block_offset = offset - offset % memfs::kBlockSize;
   if (it->second.pending_writeback.count(block_offset) == 0) co_return;
   if (it->second.writeback_owner == requester) co_return;
 

@@ -4,18 +4,6 @@
 
 namespace gvfs::proxy {
 
-const char* ModelName(ConsistencyModel model) {
-  switch (model) {
-    case ConsistencyModel::kTtl:
-      return "ttl";
-    case ConsistencyModel::kInvalidationPolling:
-      return "invalidation-polling";
-    case ConsistencyModel::kDelegationCallback:
-      return "delegation-callback";
-  }
-  return "?";
-}
-
 std::uint32_t ShardOf(const nfs3::Fh& fh, std::uint32_t shard_count) {
   if (shard_count < 2) return 0;
   return static_cast<std::uint32_t>(MixHash64(fh.fsid ^ MixHash64(fh.ino)) %

@@ -16,16 +16,11 @@
 namespace gvfs::proxy {
 
 enum class ConsistencyModel {
-  /// Passthrough with TTL-based attribute validity (native-NFS-like); the
-  /// baseline GVFS caching mode without a consistency protocol overlay.
-  kTtl,
   /// Invalidation polling via GETINV (§4.2) — relaxed consistency.
   kInvalidationPolling,
   /// Delegation + callback (§4.3) — strong consistency.
   kDelegationCallback,
 };
-
-const char* ModelName(ConsistencyModel model);
 
 enum class CacheMode {
   /// Cache reads; forward writes synchronously (write-through).
@@ -44,15 +39,10 @@ struct SessionConfig {
   ConsistencyModel model = ConsistencyModel::kInvalidationPolling;
   CacheMode cache_mode = CacheMode::kReadOnly;
 
-  /// kTtl model: attribute validity period.
-  Duration attr_ttl = Seconds(30);
-
   /// Invalidation polling (§4.2): base polling period; when max > base the
   /// client backs off exponentially while polls return empty.
   Duration poll_period = Seconds(30);
   Duration poll_max_period = Seconds(30);
-  /// Max handles per GETINV reply (bigger sets trigger poll-again).
-  std::uint32_t getinv_batch = 512;
   /// Per-client invalidation buffer capacity (circular; overflow triggers
   /// force-invalidate).
   std::size_t inv_buffer_capacity = 8192;
@@ -62,9 +52,6 @@ struct SessionConfig {
   /// with skewed clocks).
   Duration deleg_expiry = Seconds(600);
   Duration deleg_renew = Seconds(480);
-  /// Write recalls with more dirty blocks than this return a block list and
-  /// flush asynchronously (§4.3.2 optimization). 0 disables the optimization.
-  std::size_t dirty_threshold_blocks = 1024;
 
   /// Write-back mode: periodic background flush interval (0 = only flush on
   /// recall/shutdown).
@@ -81,20 +68,11 @@ struct SessionConfig {
   /// read-ahead (every fault costs a full serialized round trip).
   std::uint32_t read_ahead = 0;
 
-  /// Cache block size (matches NFS rsize/wsize).
-  std::uint32_t block_size = 32 * 1024;
-
   /// When a directory changed (its name entries went stale) but its
   /// attributes are trusted again, rebuild the whole name cache with one
   /// paginated READDIR instead of forwarding per-name LOOKUPs. Saves the
   /// post-update LOOKUP storm in producer/consumer workloads (Figure 8).
   bool readdir_refresh = true;
-
-  /// Access latency of the proxy's disk cache, charged per locally served
-  /// request / absorbed write / inserted block. This is the user-level +
-  /// disk overhead the paper measures in LAN (~4 % read-only, ~8 % with
-  /// write-back); it is what the WAN savings must amortize.
-  Duration disk_access_time = Microseconds(1000);
 
   /// Adaptive consistency (src/policy): the session starts every file under
   /// invalidation polling (model must be kInvalidationPolling — polling
@@ -108,17 +86,10 @@ struct SessionConfig {
   /// Adaptive only: minimum time a file stays in its mode after a migration
   /// before the engine may move it again (damps thrashing).
   Duration policy_dwell = Seconds(10);
-  /// Adaptive only: reads observed inside one policy window before a
-  /// read-shared file is promoted to a read delegation.
-  std::uint32_t policy_promote_reads = 4;
-  /// Adaptive only: writes observed inside one policy window before a
-  /// single-writer file is promoted to a write delegation.
-  std::uint32_t policy_write_hot = 3;
   /// Adaptive only: recall-storm breaker — when the recalls a client
   /// observes grow by at least this much across one policy window, its
-  /// promotions freeze (demotions still run) for policy_storm_freeze.
+  /// promotions freeze (demotions still run) for PolicyConfig::storm_freeze.
   std::uint32_t policy_storm_recalls = 8;
-  Duration policy_storm_freeze = Seconds(30);
 
   /// Sharded fleet serving (src/fleet): addresses of every proxy-server
   /// shard in this session, indexed by ShardOf(fh, shard_addrs.size()).

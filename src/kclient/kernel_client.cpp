@@ -12,6 +12,21 @@ using nfs3::Status;
 
 namespace {
 
+/// Bounded client memory caches (the proxy's disk cache is much larger —
+/// the asymmetry the paper exploits).
+constexpr std::size_t kMaxAttrEntries = 512;
+constexpr std::size_t kMaxDnlcEntries = 512;
+
+/// Every call has hard-mount semantics (generous retransmission), as in the
+/// paper's setup.
+const rpc::CallOptions kHardMount = [] {
+  rpc::CallOptions opts;
+  opts.max_retries = 100;
+  return opts;
+}();
+
+using memfs::kBlockSize;
+
 /// Upper-bound key for iterating all dnlc entries under one directory.
 Fh NextFh(const Fh& fh) { return Fh{fh.fsid, fh.ino + 1}; }
 
@@ -61,7 +76,7 @@ void KernelClient::StoreAttr(const Fh& fh, const nfs3::Fattr& attr, bool own_wri
     }
   }
 
-  if (attr_cache_.size() >= options_.max_attr_entries &&
+  if (attr_cache_.size() >= kMaxAttrEntries &&
       attr_cache_.find(fh) == attr_cache_.end()) {
     attr_cache_.erase(attr_cache_.begin());
   }
@@ -84,7 +99,7 @@ sim::Task<VfsResult<nfs3::Fattr>> KernelClient::GetAttr(Fh fh, bool force_fresh)
   }
   ++stats_.attr_misses;
   auto res = co_await client_.Call<nfs3::GetAttrRes>(
-      nfs3::kGetAttr, nfs3::GetAttrArgs{fh}, options_.rpc);
+      nfs3::kGetAttr, nfs3::GetAttrArgs{fh}, kHardMount);
   if (!res) co_return Unexpected(Status::kIo);
   if (res->status != Status::kOk) {
     InvalidateAttr(fh);
@@ -103,7 +118,7 @@ void KernelClient::StoreDnlc(const Fh& dir, const std::string& name,
                              const Fh& child) {
   const nfs3::Fattr* dir_attr = CachedAttr(dir);
   if (dir_attr == nullptr) return;  // cannot validate later; skip caching
-  if (dnlc_.size() >= options_.max_dnlc_entries) dnlc_.erase(dnlc_.begin());
+  if (dnlc_.size() >= kMaxDnlcEntries) dnlc_.erase(dnlc_.begin());
   dnlc_[{dir, name}] = DnlcEntry{child, dir_attr->mtime};
 }
 
@@ -130,7 +145,7 @@ sim::Task<VfsResult<Fh>> KernelClient::LookupChild(Fh dir, std::string name) {
   nfs3::LookupArgs args;
   args.dir = dir;
   args.name = name;
-  auto res = co_await client_.Call<nfs3::LookupRes>(nfs3::kLookup, args, options_.rpc);
+  auto res = co_await client_.Call<nfs3::LookupRes>(nfs3::kLookup, args, kHardMount);
   if (!res) co_return Unexpected(Status::kIo);
   StoreAttr(dir, res->dir_attr, /*own_write=*/false);
   if (res->status != Status::kOk) co_return Unexpected(res->status);
@@ -238,10 +253,10 @@ sim::Task<VfsResult<void>> KernelClient::FlushFile(Fh fh) {
     if (blk == fc->second.blocks.end() || !blk->second.dirty) continue;
     nfs3::WriteArgs args;
     args.file = fh;
-    args.offset = index * options_.io_size;
+    args.offset = index * kBlockSize;
     args.stable = nfs3::StableHow::kUnstable;
     args.data = blk->second.data;
-    auto res = co_await client_.Call<nfs3::WriteRes>(nfs3::kWrite, args, options_.rpc);
+    auto res = co_await client_.Call<nfs3::WriteRes>(nfs3::kWrite, args, kHardMount);
     if (!res) co_return Unexpected(Status::kIo);
     if (res->status != Status::kOk) co_return Unexpected(res->status);
     StoreAttr(fh, res->attr, /*own_write=*/true);
@@ -254,7 +269,7 @@ sim::Task<VfsResult<void>> KernelClient::FlushFile(Fh fh) {
   }
   if (wrote) {
     auto commit = co_await client_.Call<nfs3::CommitRes>(
-        nfs3::kCommit, nfs3::CommitArgs{fh, 0, 0}, options_.rpc);
+        nfs3::kCommit, nfs3::CommitArgs{fh, 0, 0}, kHardMount);
     if (!commit) co_return Unexpected(Status::kIo);
     if (commit->status != Status::kOk) co_return Unexpected(commit->status);
     StoreAttr(fh, commit->attr, /*own_write=*/true);
@@ -279,7 +294,7 @@ sim::Task<VfsResult<Fd>> KernelClient::Open(std::string path, OpenFlags flags) {
     args.name = leaf;
     args.exclusive = flags.exclusive;
     auto res = co_await client_.Call<nfs3::CreateRes>(nfs3::kCreate, args,
-                                                      options_.rpc);
+                                                      kHardMount);
     if (!res) co_return Unexpected(Status::kIo);
     StoreAttr(*dir, res->dir_attr, /*own_write=*/true);
     if (res->dir_attr.has_value()) {
@@ -306,7 +321,7 @@ sim::Task<VfsResult<Fd>> KernelClient::Open(std::string path, OpenFlags flags) {
   // Close-to-open: opening a file revalidates its attributes with the
   // server regardless of the attribute cache (the GETATTR storm the paper
   // measures in the Make benchmark).
-  if (options_.close_to_open && !created) {
+  if (!created) {
     auto attr = co_await GetAttr(fh, /*force_fresh=*/true);
     if (!attr) co_return Unexpected(attr.error());
   }
@@ -316,7 +331,7 @@ sim::Task<VfsResult<Fd>> KernelClient::Open(std::string path, OpenFlags flags) {
     args.object = fh;
     args.size = 0;
     auto res = co_await client_.Call<nfs3::SetAttrRes>(nfs3::kSetAttr, args,
-                                                       options_.rpc);
+                                                       kHardMount);
     if (!res) co_return Unexpected(Status::kIo);
     if (res->status != Status::kOk) co_return Unexpected(res->status);
     DropFileData(fh);
@@ -334,7 +349,8 @@ sim::Task<VfsResult<void>> KernelClient::Close(Fd fd) {
   const Fh fh = it->second.fh;
   const bool writable = it->second.flags.write;
   open_files_.erase(it);
-  if (writable && options_.close_to_open) {
+  // Close-to-open: closing a written file flushes its dirty pages.
+  if (writable) {
     auto flushed = co_await FlushFile(fh);
     if (!flushed) co_return Unexpected(flushed.error());
   }
@@ -366,15 +382,14 @@ sim::Task<VfsResult<Bytes>> KernelClient::Read(Fd fd, std::uint64_t offset,
 
   Bytes out;
   out.reserve(want_end - offset);
-  const std::uint32_t bs = options_.io_size;
   for (std::uint64_t pos = offset; pos < want_end;) {
-    const std::uint64_t index = pos / bs;
-    const std::uint64_t block_start = index * bs;
+    const std::uint64_t index = pos / kBlockSize;
+    const std::uint64_t block_start = index * kBlockSize;
     auto cached = fc->blocks.find(index);
     if (cached == fc->blocks.end()) {
       ++stats_.page_misses;
       auto res = co_await client_.Call<nfs3::ReadRes>(
-          nfs3::kRead, nfs3::ReadArgs{fh, block_start, bs}, options_.rpc);
+          nfs3::kRead, nfs3::ReadArgs{fh, block_start, kBlockSize}, kHardMount);
       if (!res) co_return Unexpected(Status::kIo);
       if (res->status != Status::kOk) co_return Unexpected(res->status);
       StoreAttr(fh, res->attr, /*own_write=*/false);
@@ -422,27 +437,26 @@ sim::Task<VfsResult<std::uint32_t>> KernelClient::Write(Fd fd, std::uint64_t off
     fc->size_seen = attr->size;
   }
 
-  const std::uint32_t bs = options_.io_size;
   std::uint64_t pos = offset;
   std::size_t consumed = 0;
   while (consumed < data.size()) {
-    const std::uint64_t index = pos / bs;
-    const std::uint64_t block_start = index * bs;
+    const std::uint64_t index = pos / kBlockSize;
+    const std::uint64_t block_start = index * kBlockSize;
     const std::uint64_t in_block = pos - block_start;
     const std::uint64_t take =
-        std::min<std::uint64_t>(bs - in_block, data.size() - consumed);
+        std::min<std::uint64_t>(kBlockSize - in_block, data.size() - consumed);
 
     auto cached = fc->blocks.find(index);
     if (cached == fc->blocks.end()) {
       // Partial overwrite of existing server data requires read-modify-write.
       const bool needs_fetch =
-          block_start < fc->size_seen && (in_block != 0 || take < bs) &&
+          block_start < fc->size_seen && (in_block != 0 || take < kBlockSize) &&
           !(block_start + in_block >= fc->size_seen);
       CachedBlock block;
       if (needs_fetch) {
         ++stats_.page_misses;
         auto res = co_await client_.Call<nfs3::ReadRes>(
-            nfs3::kRead, nfs3::ReadArgs{fh, block_start, bs}, options_.rpc);
+            nfs3::kRead, nfs3::ReadArgs{fh, block_start, kBlockSize}, kHardMount);
         if (!res) co_return Unexpected(Status::kIo);
         if (res->status != Status::kOk) co_return Unexpected(res->status);
         block.data = std::move(res->data);
@@ -510,7 +524,7 @@ sim::Task<VfsResult<void>> KernelClient::Unlink(std::string path) {
   nfs3::RemoveArgs args;
   args.dir = *dir;
   args.name = leaf;
-  auto res = co_await client_.Call<nfs3::RemoveRes>(nfs3::kRemove, args, options_.rpc);
+  auto res = co_await client_.Call<nfs3::RemoveRes>(nfs3::kRemove, args, kHardMount);
   if (!res) co_return Unexpected(Status::kIo);
   StoreAttr(*dir, res->dir_attr, /*own_write=*/true);
   DropDnlc(*dir, leaf);
@@ -533,7 +547,7 @@ sim::Task<VfsResult<void>> KernelClient::Mkdir(std::string path) {
   args.dir = *dir;
   args.name = leaf;
   args.mode = 0755;
-  auto res = co_await client_.Call<nfs3::MkdirRes>(nfs3::kMkdir, args, options_.rpc);
+  auto res = co_await client_.Call<nfs3::MkdirRes>(nfs3::kMkdir, args, kHardMount);
   if (!res) co_return Unexpected(Status::kIo);
   StoreAttr(*dir, res->dir_attr, /*own_write=*/true);
   if (res->status != Status::kOk) co_return Unexpected(res->status);
@@ -549,7 +563,7 @@ sim::Task<VfsResult<void>> KernelClient::Rmdir(std::string path) {
   nfs3::RmdirArgs args;
   args.dir = *dir;
   args.name = leaf;
-  auto res = co_await client_.Call<nfs3::RmdirRes>(nfs3::kRmdir, args, options_.rpc);
+  auto res = co_await client_.Call<nfs3::RmdirRes>(nfs3::kRmdir, args, kHardMount);
   if (!res) co_return Unexpected(Status::kIo);
   StoreAttr(*dir, res->dir_attr, /*own_write=*/true);
   DropDnlc(*dir, leaf);
@@ -569,7 +583,7 @@ sim::Task<VfsResult<void>> KernelClient::Link(std::string target_path,
   args.file = *target;
   args.dir = *dir;
   args.name = leaf;
-  auto res = co_await client_.Call<nfs3::LinkRes>(nfs3::kLink, args, options_.rpc);
+  auto res = co_await client_.Call<nfs3::LinkRes>(nfs3::kLink, args, kHardMount);
   if (!res) co_return Unexpected(Status::kIo);
   StoreAttr(*dir, res->dir_attr, /*own_write=*/true);
   StoreAttr(*target, res->file_attr, /*own_write=*/true);
@@ -591,7 +605,7 @@ sim::Task<VfsResult<void>> KernelClient::Rename(std::string from,
   args.from_name = from_leaf;
   args.to_dir = *to_dir;
   args.to_name = to_leaf;
-  auto res = co_await client_.Call<nfs3::RenameRes>(nfs3::kRename, args, options_.rpc);
+  auto res = co_await client_.Call<nfs3::RenameRes>(nfs3::kRename, args, kHardMount);
   if (!res) co_return Unexpected(Status::kIo);
   StoreAttr(*from_dir, res->from_dir_attr, /*own_write=*/true);
   StoreAttr(*to_dir, res->to_dir_attr, /*own_write=*/true);
@@ -620,7 +634,7 @@ sim::Task<VfsResult<std::vector<std::string>>> KernelClient::ReadDir(
     args.cookie = cookie;
     args.max_entries = 256;
     auto res = co_await client_.Call<nfs3::ReadDirRes>(nfs3::kReadDir, args,
-                                                       options_.rpc);
+                                                       kHardMount);
     if (!res) co_return Unexpected(Status::kIo);
     StoreAttr(*dir, res->dir_attr, /*own_write=*/false);
     if (res->status != Status::kOk) co_return Unexpected(res->status);

@@ -41,25 +41,8 @@ struct MountOptions {
   Duration attr_timeout = Seconds(30);
   /// Disable the attribute cache entirely ("-o noac").
   bool noac = false;
-  /// Close-to-open consistency: revalidate attributes on open, flush on close.
-  bool close_to_open = true;
-  /// READ/WRITE transfer size.
-  std::uint32_t io_size = 32 * 1024;
-  /// Bounded client memory caches (the proxy's disk cache is much larger —
-  /// the asymmetry the paper exploits).
-  std::size_t max_attr_entries = 512;
-  std::size_t max_dnlc_entries = 512;
   // The paper's clients are 256 MB VMs; the page cache gets a fraction.
   std::size_t max_cached_bytes = 160ull * 1024 * 1024;
-  /// RPC knobs applied to every call. Defaults to hard-mount semantics
-  /// (generous retransmission) as in the paper's setup.
-  rpc::CallOptions rpc = HardMountRpc();
-
-  static rpc::CallOptions HardMountRpc() {
-    rpc::CallOptions opts;
-    opts.max_retries = 100;
-    return opts;
-  }
 };
 
 /// Client-side cache counters, used by tests and the experiment harnesses.

@@ -22,6 +22,12 @@ namespace gvfs::memfs {
 
 using InodeId = std::uint64_t;
 
+/// The one block size of the data plane: memfs stores files in blocks of
+/// this many bytes, the kernel client reads and writes them (rsize/wsize),
+/// the proxy disk cache keeps them, and nfsd charges its per-block service
+/// time per block moved.
+inline constexpr std::uint64_t kBlockSize = 32 * 1024;
+
 enum class FsError {
   kNoEnt,     // no such file or directory
   kExist,     // name already exists
@@ -125,8 +131,6 @@ class MemFs {
   /// Total bytes of file content, holes included (for FSSTAT).
   std::uint64_t TotalBytes() const { return total_bytes_; }
 
-  /// Files are stored in blocks of this many bytes.
-  static constexpr std::uint64_t kBlockSize = 32 * 1024;
   std::uint64_t InodeCount() const { return inodes_.size(); }
 
  private:

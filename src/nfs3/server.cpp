@@ -8,13 +8,17 @@
 namespace gvfs::nfs3 {
 namespace {
 
-constexpr std::uint64_t kBlockSize = 32 * 1024;
+/// CPU + disk time charged per request before the reply is produced.
+constexpr Duration kServiceTime = Microseconds(100);
+/// Additional service time per block moved by READ/WRITE.
+constexpr Duration kPerBlockTime = Microseconds(50);
+
+using memfs::kBlockSize;
 
 }  // namespace
 
-Nfs3Server::Nfs3Server(sim::Scheduler& sched, memfs::MemFs& fs, rpc::RpcNode& node,
-                       ServerConfig config)
-    : sched_(sched), fs_(fs), config_(config) {
+Nfs3Server::Nfs3Server(sim::Scheduler& sched, memfs::MemFs& fs, rpc::RpcNode& node)
+    : sched_(sched), fs_(fs) {
   // The lambdas are not coroutines themselves; they forward to member
   // coroutines whose frames hold `this` plus moved-in args. The stats handle
   // is resolved once here, not per request.
@@ -50,8 +54,7 @@ Nfs3Server::Nfs3Server(sim::Scheduler& sched, memfs::MemFs& fs, rpc::RpcNode& no
 
 sim::Sleep Nfs3Server::Service(std::uint64_t blocks) {
   return sim::Sleep(sched_,
-                    config_.service_time +
-                        static_cast<Duration>(blocks) * config_.per_block_time);
+                    kServiceTime + static_cast<Duration>(blocks) * kPerBlockTime);
 }
 
 PostOpAttr Nfs3Server::AttrOf(memfs::InodeId ino) const {

@@ -15,29 +15,21 @@
 
 namespace gvfs::nfs3 {
 
-struct ServerConfig {
-  /// CPU + disk time charged per request before the reply is produced.
-  Duration service_time = Microseconds(100);
-  /// Additional service time per 32 KB block moved by READ/WRITE.
-  Duration per_block_time = Microseconds(50);
-  /// Filesystem id stamped into every handle this server hands out.
-  std::uint64_t fsid = 1;
-};
+/// Filesystem id stamped into every handle the server hands out.
+inline constexpr std::uint64_t kFsid = 1;
 
 class Nfs3Server {
  public:
   /// Registers handlers for all supported procedures on `node`. The server
   /// must outlive the node's last in-flight request.
-  Nfs3Server(sim::Scheduler& sched, memfs::MemFs& fs, rpc::RpcNode& node,
-             ServerConfig config = {});
+  Nfs3Server(sim::Scheduler& sched, memfs::MemFs& fs, rpc::RpcNode& node);
 
   /// The exported root handle clients mount.
   Fh RootFh() const { return FhFor(fs_.root()); }
 
-  Fh FhFor(memfs::InodeId ino) const { return Fh{config_.fsid, ino}; }
+  Fh FhFor(memfs::InodeId ino) const { return Fh{kFsid, ino}; }
 
   memfs::MemFs& fs() { return fs_; }
-  const ServerConfig& config() const { return config_; }
 
   /// Total requests served, by procedure (server-side view).
   const rpc::StatsMap& served() const { return served_; }
@@ -68,7 +60,6 @@ class Nfs3Server {
 
   sim::Scheduler& sched_;
   memfs::MemFs& fs_;
-  ServerConfig config_;
   rpc::StatsMap served_;
 };
 

@@ -173,7 +173,7 @@ void Watchdog::ScanStalenessSlo() {
 }
 
 void Watchdog::ScanMigrationFlap() {
-  if (config_.flap_threshold == 0 || trace_ == nullptr) return;
+  if (trace_ == nullptr) return;
   // Incremental scan of events that arrived since the last pass. Events the
   // ring already overwrote are simply skipped — the metrics detectors do not
   // depend on them and a flap, by definition, is recent.
@@ -192,63 +192,59 @@ void Watchdog::ScanMigrationFlap() {
   }
   trace_cursor_ = recorded;
   for (auto& [key, times] : migrations_) {
-    while (!times.empty() && times.front() < now - config_.flap_window) {
+    while (!times.empty() && times.front() < now - kFlapWindow) {
       times.pop_front();
     }
-    if (times.size() < config_.flap_threshold) continue;
+    if (times.size() < kFlapThreshold) continue;
     const auto& [host, fsid, ino] = key;
     char detail[160];
     std::snprintf(detail, sizeof(detail),
                   "file %" PRIu64 ":%" PRIu64 " on host %u migrated %zu times "
                   "within %.1fs (threshold %u)",
                   fsid, ino, host, times.size(),
-                  ToSeconds(config_.flap_window), config_.flap_threshold);
+                  ToSeconds(kFlapWindow), kFlapThreshold);
     Raise(AnomalyKind::kMigrationFlap, host, fsid, ino,
           static_cast<double>(times.size()),
-          static_cast<double>(config_.flap_threshold), detail);
+          static_cast<double>(kFlapThreshold), detail);
     times.clear();  // re-arm this file
   }
 }
 
 void Watchdog::ScanInvOverflow() {
   if (registry_ == nullptr) return;
-  if (config_.overflow_wraps != 0) {
-    const double wraps = SumProbesWithSuffix(".inv_wraps");
-    const double delta = have_prev_wraps_ ? wraps - prev_wraps_ : wraps;
-    prev_wraps_ = wraps;
-    have_prev_wraps_ = true;
-    if (delta >= static_cast<double>(config_.overflow_wraps)) {
+  const double wraps = SumProbesWithSuffix(".inv_wraps");
+  const double delta = have_prev_wraps_ ? wraps - prev_wraps_ : wraps;
+  prev_wraps_ = wraps;
+  have_prev_wraps_ = true;
+  if (delta >= static_cast<double>(kOverflowWraps)) {
+    char detail[160];
+    std::snprintf(detail, sizeof(detail),
+                  "%.0f invalidation-buffer wrap(s) in one window — "
+                  "affected clients owe whole-cache invalidations",
+                  delta);
+    Raise(AnomalyKind::kInvOverflow, kInvalidHost, 0, 0, delta,
+          static_cast<double>(kOverflowWraps), detail);
+  }
+  const double occupancy = SumProbesWithSuffix(".inv_buffer_entries");
+  if (occupancy > prev_occupancy_ && occupancy >= kOccupancyFloor) {
+    if (++occupancy_rising_ >= kOccupancyTrendWindows) {
       char detail[160];
       std::snprintf(detail, sizeof(detail),
-                    "%.0f invalidation-buffer wrap(s) in one window — "
-                    "affected clients owe whole-cache invalidations",
-                    delta);
-      Raise(AnomalyKind::kInvOverflow, kInvalidHost, 0, 0, delta,
-            static_cast<double>(config_.overflow_wraps), detail);
+                    "invalidation-buffer occupancy rose for %d consecutive "
+                    "windows, now %.0f entries",
+                    occupancy_rising_, occupancy);
+      Raise(AnomalyKind::kInvOverflow, kInvalidHost, 0, 0, occupancy,
+            kOccupancyFloor, detail);
+      occupancy_rising_ = 0;  // re-arm the trend
     }
+  } else {
+    occupancy_rising_ = 0;
   }
-  if (config_.occupancy_trend_windows > 0) {
-    const double occupancy = SumProbesWithSuffix(".inv_buffer_entries");
-    if (occupancy > prev_occupancy_ && occupancy >= config_.occupancy_floor) {
-      if (++occupancy_rising_ >= config_.occupancy_trend_windows) {
-        char detail[160];
-        std::snprintf(detail, sizeof(detail),
-                      "invalidation-buffer occupancy rose for %d consecutive "
-                      "windows, now %.0f entries",
-                      occupancy_rising_, occupancy);
-        Raise(AnomalyKind::kInvOverflow, kInvalidHost, 0, 0, occupancy,
-              config_.occupancy_floor, detail);
-        occupancy_rising_ = 0;  // re-arm the trend
-      }
-    } else {
-      occupancy_rising_ = 0;
-    }
-    prev_occupancy_ = occupancy;
-  }
+  prev_occupancy_ = occupancy;
 }
 
 void Watchdog::ScanShardImbalance() {
-  if (config_.imbalance_ratio <= 0 || registry_ == nullptr) return;
+  if (registry_ == nullptr) return;
   for (ShardGroup& group : shard_groups_) {
     if (group.probe_names.size() < 2) continue;
     double max_v = 0, sum = 0;
@@ -265,8 +261,8 @@ void Watchdog::ScanShardImbalance() {
     }
     const double mean =
         sum / static_cast<double>(group.probe_names.size());
-    const bool over = max_v >= config_.imbalance_min && mean > 0 &&
-                      max_v / mean >= config_.imbalance_ratio;
+    const bool over = max_v >= kImbalanceMin && mean > 0 &&
+                      max_v / mean >= kImbalanceRatio;
     if (!over) {
       group.latched = false;
       continue;
@@ -278,9 +274,9 @@ void Watchdog::ScanShardImbalance() {
                   "shard group %s: %s holds %.0f entries vs group mean %.1f "
                   "(ratio %.1f, threshold %.1f)",
                   group.label.c_str(), group.probe_names[max_i].c_str(), max_v,
-                  mean, max_v / mean, config_.imbalance_ratio);
+                  mean, max_v / mean, kImbalanceRatio);
     Raise(AnomalyKind::kShardImbalance, kInvalidHost, 0, 0, max_v / mean,
-          config_.imbalance_ratio, detail);
+          kImbalanceRatio, detail);
   }
 }
 

@@ -70,31 +70,33 @@ struct DetectorInfo {
 constexpr std::size_t kDetectorCount = 5;
 extern const DetectorInfo kDetectors[kDetectorCount];
 
-/// Detector thresholds. A zero threshold disables that detector.
+/// The watchdog settings a run chooses; the other detectors' thresholds are
+/// the constants below.
 struct ObsConfig {
   Duration watch_period = Seconds(5);
 
   /// recall-storm: delegation recalls (read + write) observed fleet-wide
   /// within one watch window. Mirrors SessionConfig::policy_storm_recalls,
-  /// but fires even when the policy breaker is disabled or frozen.
+  /// but fires even when the policy breaker is disabled or frozen. Zero
+  /// disables the detector.
   std::uint64_t recall_storm_threshold = 64;
-
-  /// migration-flap: completed MIGRATEs for one file within flap_window.
-  std::uint32_t flap_threshold = 3;
-  Duration flap_window = Seconds(30);
-
-  /// inv-overflow: buffer wraps per window, and the occupancy trend — the
-  /// summed buffer occupancy rising for `occupancy_trend_windows`
-  /// consecutive windows while at or above `occupancy_floor` entries.
-  std::uint64_t overflow_wraps = 1;
-  int occupancy_trend_windows = 3;
-  double occupancy_floor = 1024.0;
-
-  /// shard-imbalance: max/mean occupancy ratio across a registered shard
-  /// group, ignored until the loaded shard holds `imbalance_min` entries.
-  double imbalance_ratio = 4.0;
-  double imbalance_min = 256.0;
 };
+
+/// migration-flap: completed MIGRATEs for one file within kFlapWindow.
+inline constexpr std::uint32_t kFlapThreshold = 3;
+inline constexpr Duration kFlapWindow = Seconds(30);
+
+/// inv-overflow: buffer wraps per window, and the occupancy trend — the
+/// summed buffer occupancy rising for kOccupancyTrendWindows consecutive
+/// windows while at or above kOccupancyFloor entries.
+inline constexpr std::uint64_t kOverflowWraps = 1;
+inline constexpr int kOccupancyTrendWindows = 3;
+inline constexpr double kOccupancyFloor = 1024.0;
+
+/// shard-imbalance: max/mean occupancy ratio across a registered shard
+/// group, ignored until the loaded shard holds kImbalanceMin entries.
+inline constexpr double kImbalanceRatio = 4.0;
+inline constexpr double kImbalanceMin = 256.0;
 
 /// One detector firing.
 struct Anomaly {

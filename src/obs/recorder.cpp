@@ -58,13 +58,13 @@ std::string FlightRecorder::Render(const std::string& reason) const {
       JsonObject wd;
       wd.Add("watch_period_ns", static_cast<std::uint64_t>(c.watch_period));
       wd.Add("recall_storm_threshold", c.recall_storm_threshold);
-      wd.Add("flap_threshold", static_cast<std::uint64_t>(c.flap_threshold));
-      wd.Add("flap_window_ns", static_cast<std::uint64_t>(c.flap_window));
-      wd.Add("overflow_wraps", c.overflow_wraps);
-      wd.Add("occupancy_trend_windows", c.occupancy_trend_windows);
-      wd.Add("occupancy_floor", c.occupancy_floor);
-      wd.Add("imbalance_ratio", c.imbalance_ratio);
-      wd.Add("imbalance_min", c.imbalance_min);
+      wd.Add("flap_threshold", static_cast<std::uint64_t>(kFlapThreshold));
+      wd.Add("flap_window_ns", static_cast<std::uint64_t>(kFlapWindow));
+      wd.Add("overflow_wraps", kOverflowWraps);
+      wd.Add("occupancy_trend_windows", kOccupancyTrendWindows);
+      wd.Add("occupancy_floor", kOccupancyFloor);
+      wd.Add("imbalance_ratio", kImbalanceRatio);
+      wd.Add("imbalance_min", kImbalanceMin);
       config.Add("watchdog", wd);
       std::vector<JsonObject> slos;
       for (const auto& [name, budget] : watchdog_->slos()) {

@@ -25,10 +25,10 @@ std::uint64_t ProgProcKey(std::uint32_t prog, std::uint32_t proc) {
 
 }  // namespace
 
-/// Awaits a reply in `pc` until `deadline`. Mirrors OneShot::WaitUntil, but
-/// over frame-resident state: the timeout event captures a raw PendingCall
-/// pointer, which is safe because reply delivery cancels the event (its
-/// closure is destroyed immediately) and the Call frame outlives the wait.
+/// Awaits a reply in `pc` until `deadline`, over frame-resident state: the
+/// timeout event captures a raw PendingCall pointer, which is safe because
+/// reply delivery cancels the event (its closure is destroyed immediately)
+/// and the Call frame outlives the wait.
 struct RpcNode::ReplyAwaiter {
   PendingCall& pc;
   sim::Scheduler& sched;
@@ -254,8 +254,8 @@ void RpcNode::OnPacket(net::Packet packet) {
     pc.reply = Reply{static_cast<AcceptStat>(stat), std::move(packet.body)};
     if (pc.waiter) {
       auto waiter = std::exchange(pc.waiter, {});
-      // Cancel-then-post mirrors OneShot::Set exactly, so the event sequence
-      // (and therefore all virtual-time output) is unchanged.
+      // Cancel the timeout, then post the resumption: the timeout's closure
+      // is destroyed now rather than at the deadline.
       sched_.Cancel(std::exchange(pc.timeout_event, {}));
       sched_.At(sched_.Now(), [waiter] { waiter.resume(); });
     }

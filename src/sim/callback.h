@@ -1,6 +1,6 @@
 // EventFn: the scheduler's callback type. A move-only callable with inline
 // storage sized for every capture set the simulator's hot paths create —
-// coroutine-handle resumptions, OneShot timeout closures, and whole-Packet
+// coroutine-handle resumptions, RPC reply timeout closures, and whole-Packet
 // delivery closures all fit — so posting an event performs no heap
 // allocation. Larger callables fall back to the heap transparently.
 //

@@ -13,15 +13,15 @@
 //     recycled rather than allocated per event (EventFn itself keeps captures
 //     inline; see callback.h);
 //   - a FIFO ready queue for events posted at the current timestamp (the
-//     overwhelmingly common "resume this coroutine now" case from OneShot,
-//     Condition, and Mutex), which bypasses heap sifting entirely. Ordering
-//     against same-timestamp heap events is preserved by comparing (time, seq)
-//     across both structures before every pop.
+//     overwhelmingly common "resume this coroutine now" case from RPC
+//     replies, Condition, and Mutex), which bypasses heap sifting entirely.
+//     Ordering against same-timestamp heap events is preserved by comparing
+//     (time, seq) across both structures before every pop.
 //
 // Events can be cancelled (Cancel(EventId)): the callback is destroyed
 // immediately and the queue node becomes a tombstone that is skipped — and
-// does not advance the clock — when it surfaces. This lets OneShot timeouts
-// vanish on completion instead of lingering as no-op events.
+// does not advance the clock — when it surfaces. This lets RPC reply
+// timeouts vanish on completion instead of lingering as no-op events.
 #pragma once
 
 #include <cassert>

@@ -1,6 +1,6 @@
-// Synchronization primitives for simulated processes: sleeps, one-shot
-// futures with timeouts (RPC reply slots), broadcast conditions (grace
-// periods, completion barriers), and a FIFO mutex.
+// Synchronization primitives for simulated processes: sleeps, broadcast
+// conditions (grace periods, completion barriers), a FIFO mutex, and
+// WhenAll, a join over a WaitGroup (concurrency.h).
 //
 // All resumptions are funneled through the Scheduler rather than resumed
 // inline, which keeps notification order FIFO-deterministic and avoids
@@ -10,11 +10,10 @@
 #include <cassert>
 #include <coroutine>
 #include <deque>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/types.h"
+#include "sim/concurrency.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
 
@@ -34,87 +33,6 @@ class Sleep {
  private:
   Scheduler& sched_;
   Duration duration_;
-};
-
-/// A single-use future. One producer calls Set(); one consumer awaits Wait()
-/// or WaitUntil(deadline). Scheduled timeout events hold the shared state, so
-/// the OneShot object itself may be destroyed before a stale timeout fires.
-template <typename T>
-class OneShot {
- public:
-  /// Empty handle: assignable placeholder (e.g. a map slot). Using an empty
-  /// OneShot is undefined; assign a real one first.
-  OneShot() = default;
-
-  explicit OneShot(Scheduler& sched)
-      : state_(std::make_shared<State>(State{&sched, {}, {}, 0, false, {}})) {}
-
-  /// Delivers the value. Resumes the waiter (via the scheduler) if present.
-  void Set(T value) {
-    State& s = *state_;
-    if (s.value.has_value()) return;  // first value wins
-    s.value = std::move(value);
-    if (s.waiter) {
-      auto h = std::exchange(s.waiter, {});
-      ++s.generation;  // invalidate a timeout already past cancellation
-      // Pull the pending timeout out of the queue entirely: its closure (and
-      // the shared State it pins) is destroyed now rather than at deadline.
-      s.sched->Cancel(std::exchange(s.timeout_event, {}));
-      s.sched->At(s.sched->Now(), [h] { h.resume(); });
-    }
-  }
-
-  bool HasValue() const { return state_->value.has_value(); }
-
-  /// Awaitable: waits (forever) for the value.
-  auto Wait() { return WaitUntil(-1); }
-
-  /// Awaitable: waits until `deadline` (absolute sim time; -1 = no deadline).
-  /// Resumes with std::optional<T>: nullopt on timeout.
-  auto WaitUntil(SimTime deadline) {
-    struct Awaiter {
-      std::shared_ptr<State> s;
-      SimTime deadline;
-      bool await_ready() const noexcept { return s->value.has_value(); }
-      void await_suspend(std::coroutine_handle<> h) {
-        assert(!s->waiter && "OneShot supports a single waiter");
-        s->waiter = h;
-        s->timed_out = false;
-        if (deadline >= 0) {
-          const std::uint64_t gen = ++s->generation;
-          std::shared_ptr<State> sp = s;
-          s->timeout_event = s->sched->At(deadline, [sp, gen] {
-            if (sp->generation != gen || !sp->waiter) return;
-            sp->timeout_event = {};
-            sp->timed_out = true;
-            auto waiter = std::exchange(sp->waiter, {});
-            waiter.resume();
-          });
-        }
-      }
-      std::optional<T> await_resume() {
-        if (s->timed_out) {
-          s->timed_out = false;
-          return std::nullopt;
-        }
-        assert(s->value.has_value());
-        return std::move(s->value);
-      }
-    };
-    return Awaiter{state_, deadline};
-  }
-
- private:
-  struct State {
-    Scheduler* sched;
-    std::optional<T> value;
-    std::coroutine_handle<> waiter;
-    std::uint64_t generation;
-    bool timed_out;
-    EventId timeout_event;
-  };
-
-  std::shared_ptr<State> state_;
 };
 
 /// Broadcast condition: NotifyAll resumes every process currently waiting.
@@ -193,16 +111,9 @@ class Mutex {
 /// Runs every task concurrently (as detached processes) and completes when
 /// all have finished.
 inline Task<void> WhenAll(Scheduler& sched, std::vector<Task<void>> tasks) {
-  auto remaining = std::make_shared<int>(static_cast<int>(tasks.size()));
-  auto done = std::make_shared<Condition>(sched);
-  for (auto& t : tasks) {
-    Spawn([](Task<void> task, std::shared_ptr<int> rem,
-             std::shared_ptr<Condition> cond) -> Task<void> {
-      co_await std::move(task);
-      if (--*rem == 0) cond->NotifyAll();
-    }(std::move(t), remaining, done));
-  }
-  while (*remaining > 0) co_await done->Wait();
+  WaitGroup group(sched);
+  for (auto& task : tasks) group.Spawn(std::move(task));
+  co_await group.Wait();
 }
 
 }  // namespace gvfs::sim

@@ -176,7 +176,7 @@ void Testbed::BuildSession(FleetSession& session, const FleetConfig& config,
         config.session.adaptive) {
       watchdog_->AddStalenessSlo(
           tag + ".staleness_us",
-          config.session.poll_period + 4 * config_.wan.one_way_latency);
+          StalenessBound(config_, config.session.poll_period));
     }
     if (shard_count >= 2) {
       std::vector<std::string> occupancy;

@@ -44,6 +44,13 @@ struct TestbedConfig {
   net::LinkConfig lan{Microseconds(250), 100'000'000};
 };
 
+/// The staleness bound of invalidation polling (§4.2) over `config`'s WAN:
+/// a cached read misses a write for at most `poll_period + 2·RTT`.
+inline Duration StalenessBound(const TestbedConfig& config,
+                               Duration poll_period) {
+  return poll_period + 4 * config.wan.one_way_latency;
+}
+
 /// Topology of a fleet-scale session (src/fleet): N proxy-server shards
 /// beside the kernel NFS server, optionally fronted by a GETINV aggregation
 /// tier.

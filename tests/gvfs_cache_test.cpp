@@ -9,8 +9,6 @@ namespace {
 
 using nfs3::Fh;
 
-constexpr std::uint32_t kBs = 32 * 1024;
-
 nfs3::Fattr MakeAttr(std::uint64_t ino, std::uint64_t size, SimTime mtime) {
   nfs3::Fattr attr;
   attr.fileid = ino;
@@ -20,7 +18,7 @@ nfs3::Fattr MakeAttr(std::uint64_t ino, std::uint64_t size, SimTime mtime) {
 }
 
 TEST(DiskCacheTest, AttrStoreAndInvalidate) {
-  DiskCache cache(kBs);
+  DiskCache cache;
   Fh fh{1, 5};
   EXPECT_EQ(cache.ValidAttr(fh), nullptr);
   cache.StoreAttr(fh, MakeAttr(5, 10, Seconds(1)), Seconds(1));
@@ -34,7 +32,7 @@ TEST(DiskCacheTest, AttrStoreAndInvalidate) {
 }
 
 TEST(DiskCacheTest, InvalidateAllAttrs) {
-  DiskCache cache(kBs);
+  DiskCache cache;
   for (std::uint64_t i = 1; i <= 5; ++i) {
     cache.StoreAttr(Fh{1, i}, MakeAttr(i, 0, 0), 0);
   }
@@ -46,7 +44,7 @@ TEST(DiskCacheTest, InvalidateAllAttrs) {
 }
 
 TEST(DiskCacheTest, LookupValidityTiedToDirAttrs) {
-  DiskCache cache(kBs);
+  DiskCache cache;
   Fh dir{1, 1}, child{1, 2};
   // Without valid dir attrs the entry cannot be stored (unvalidatable).
   cache.StoreLookup(dir, "f", child);
@@ -71,7 +69,7 @@ TEST(DiskCacheTest, LookupValidityTiedToDirAttrs) {
 }
 
 TEST(DiskCacheTest, NegativeLookupEntries) {
-  DiskCache cache(kBs);
+  DiskCache cache;
   Fh dir{1, 1};
   cache.StoreAttr(dir, MakeAttr(1, 0, 0), 0);
   cache.StoreLookup(dir, "ghost", Fh{});
@@ -81,21 +79,21 @@ TEST(DiskCacheTest, NegativeLookupEntries) {
 }
 
 TEST(DiskCacheTest, BlockStoreAndDirtyTracking) {
-  DiskCache cache(kBs);
+  DiskCache cache;
   Fh fh{1, 3};
   cache.StoreBlock(fh, 0, Bytes(100, 1), /*dirty=*/false);
   cache.WriteIntoBlock(fh, 1, 0, Bytes(50, 2));
   EXPECT_EQ(cache.DirtyBlockCount(fh), 1u);
   auto offsets = cache.DirtyOffsets(fh);
   ASSERT_EQ(offsets.size(), 1u);
-  EXPECT_EQ(offsets[0], kBs);
+  EXPECT_EQ(offsets[0], memfs::kBlockSize);
 
   cache.MarkClean(fh, 1);
   EXPECT_EQ(cache.DirtyBlockCount(fh), 0u);
 }
 
 TEST(DiskCacheTest, WriteIntoBlockMergesData) {
-  DiskCache cache(kBs);
+  DiskCache cache;
   Fh fh{1, 3};
   cache.StoreBlock(fh, 0, Bytes(100, 1), false);
   cache.WriteIntoBlock(fh, 0, 10, Bytes(5, 9));
@@ -109,7 +107,7 @@ TEST(DiskCacheTest, WriteIntoBlockMergesData) {
 }
 
 TEST(DiskCacheTest, ObserveMtimeDropsCleanKeepsDirty) {
-  DiskCache cache(kBs);
+  DiskCache cache;
   Fh fh{1, 3};
   auto& fe = cache.FileFor(fh);
   fe.mtime_seen = Seconds(1);
@@ -123,7 +121,7 @@ TEST(DiskCacheTest, ObserveMtimeDropsCleanKeepsDirty) {
 }
 
 TEST(DiskCacheTest, ObserveOwnWriteKeepsData) {
-  DiskCache cache(kBs);
+  DiskCache cache;
   Fh fh{1, 3};
   auto& fe = cache.FileFor(fh);
   fe.mtime_seen = Seconds(1);
@@ -133,7 +131,7 @@ TEST(DiskCacheTest, ObserveOwnWriteKeepsData) {
 }
 
 TEST(DiskCacheTest, FilesWithDirtyData) {
-  DiskCache cache(kBs);
+  DiskCache cache;
   cache.StoreBlock(Fh{1, 1}, 0, Bytes(10, 1), false);
   cache.WriteIntoBlock(Fh{1, 2}, 0, 0, Bytes(10, 2));
   cache.WriteIntoBlock(Fh{1, 3}, 0, 0, Bytes(10, 3));
@@ -142,7 +140,7 @@ TEST(DiskCacheTest, FilesWithDirtyData) {
 }
 
 TEST(DiskCacheTest, CrashPreservesDataInvalidatesMetadata) {
-  DiskCache cache(kBs);
+  DiskCache cache;
   Fh fh{1, 4};
   cache.StoreAttr(fh, MakeAttr(4, 10, 0), 0);
   cache.WriteIntoBlock(fh, 0, 0, Bytes(10, 7));
@@ -153,7 +151,7 @@ TEST(DiskCacheTest, CrashPreservesDataInvalidatesMetadata) {
 }
 
 TEST(DiskCacheTest, CachedBytesAccounting) {
-  DiskCache cache(kBs);
+  DiskCache cache;
   Fh fh{1, 4};
   cache.StoreBlock(fh, 0, Bytes(100, 1), false);
   EXPECT_EQ(cache.CachedBytes(), 100u);

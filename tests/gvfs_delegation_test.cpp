@@ -168,42 +168,44 @@ TEST_F(DelegationTest, NegativeLookupsServedLocally) {
 }
 
 TEST_F(DelegationTest, BlockListOptimizationServesContendedBlockFirst) {
-  SessionConfig config = CbConfig();
-  config.dirty_threshold_blocks = 2;  // force the block-list path
-  auto& session = bed_.CreateSession(config, {0, 1}, NoacKernel());
+  auto& session = bed_.CreateSession(CbConfig(), {0, 1}, NoacKernel());
   auto& a = session.mount(0);
   auto& b = session.mount(1);
 
-  // a dirties 6 blocks (under its write delegation).
+  // a dirties more blocks than a recall flushes while the caller waits
+  // (1024, about 33 MB) under its write delegation.
+  constexpr std::uint64_t kBlocks = 1040;
+  constexpr std::uint64_t kBlock = memfs::kBlockSize;
   auto fd = RunTask(bed_.sched(), a.Open("/big", kCreateWrite));
-  const std::size_t block = 32 * 1024;
-  Bytes payload(block, 1);
-  for (int i = 0; i < 6; ++i) {
-    payload.assign(block, static_cast<std::uint8_t>(i + 1));
-    (void)RunTask(bed_.sched(), a.Write(*fd, i * block, payload));
+  Bytes payload;
+  for (std::uint64_t i = 0; i < kBlocks; ++i) {
+    payload.assign(kBlock, static_cast<std::uint8_t>(i + 1));
+    (void)RunTask(bed_.sched(), a.Write(*fd, i * kBlock, payload));
   }
   (void)RunTask(bed_.sched(), a.Close(*fd));
   // The very first WRITE went upstream (acquiring the write delegation);
   // the rest were absorbed into the disk cache.
-  ASSERT_GE(session.proxy(0).cache().DirtyBlockCount(
-                nfs3::Fh{1, *bed_.fs().ResolvePath("/big")}),
-            5u);
+  const nfs3::Fh big{1, *bed_.fs().ResolvePath("/big")};
+  ASSERT_EQ(session.proxy(0).cache().DirtyBlockCount(big), kBlocks - 1);
 
   // b reads block 3: the callback returns a block list, the wanted block is
-  // written back synchronously, and b's read completes with correct data.
+  // written back synchronously, and b's read completes with correct data
+  // long before the rest (33 MB at 4 Mbps, over a minute) reaches the server.
+  const SimTime start = bed_.sched().Now();
   auto fd_b = RunTask(bed_.sched(), b.Open("/big", kRead));
   ASSERT_TRUE(fd_b.has_value());
-  auto data = RunTask(bed_.sched(), b.Read(*fd_b, 3 * block, block));
+  auto data = RunTask(bed_.sched(), b.Read(*fd_b, 3 * kBlock, kBlock));
   ASSERT_TRUE(data.has_value());
   ASSERT_FALSE(data->empty());
   EXPECT_EQ((*data)[0], 4);
+  EXPECT_LT(bed_.sched().Now() - start, Seconds(1));
 
   // The asynchronous remainder flush eventually drains everything.
-  (void)RunTask(bed_.sched(), Advance(Seconds(30)));
-  auto ino = bed_.fs().ResolvePath("/big");
-  auto server_data = bed_.fs().Read(*ino, 5 * block, block);
+  (void)RunTask(bed_.sched(), Advance(Seconds(300)));
+  EXPECT_EQ(session.proxy(0).cache().DirtyBlockCount(big), 0u);
+  auto server_data = bed_.fs().Read(big.ino, (kBlocks - 1) * kBlock, kBlock);
   ASSERT_TRUE(server_data.has_value());
-  EXPECT_EQ(server_data->data[0], 6);
+  EXPECT_EQ(server_data->data[0], static_cast<std::uint8_t>(kBlocks));
 }
 
 TEST_F(DelegationTest, DelegationExpiresWithoutRenewal) {

@@ -126,40 +126,38 @@ TEST_F(PollingTest, OnlyModifiedFilesRevalidated) {
 }
 
 TEST_F(PollingTest, GetInvBatchingPollAgain) {
-  SessionConfig config = PollingConfig(Seconds(10));
-  config.getinv_batch = 8;
-  auto& session = bed_.CreateSession(config, {0, 1});
+  // One poll window long enough for the writer to touch more distinct files
+  // than one GETINV reply carries.
+  constexpr int kFiles = 600;
+  static_assert(kFiles > static_cast<int>(proxy::kGetInvBatch));
+  auto& session = bed_.CreateSession(PollingConfig(Seconds(600)), {0, 1});
   auto& a = session.mount(0);
-  auto& b = session.mount(1);
-
-  // Warm up: b registers with the server (first poll bootstraps).
-  (void)RunTask(bed_.sched(), Advance(Seconds(25)));
-  const auto polls_before = session.proxy(1).stats().polls;
-  (void)a;
-
-  // a (via the session) creates 20 files: 20 dir-mtime invalidations are
-  // coalesced into one, but 20 new-file handles... create unique files so
-  // each CREATE invalidates the (same) root dir: coalesced to 1 entry. To
-  // exercise batching we touch 20 distinct files instead.
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < kFiles; ++i) {
     auto ino = bed_.fs().Create(bed_.fs().root(), "w" + std::to_string(i), 0644);
     ASSERT_TRUE(ino.has_value());
-    (void)RunTask(bed_.sched(), b.Stat("/w" + std::to_string(i)));  // b caches each
   }
-  // a writes all 20 files through the session.
-  for (int i = 0; i < 20; ++i) {
+
+  // b bootstraps at start; its next poll is a window away.
+  (void)RunTask(bed_.sched(), Advance(Seconds(1)));
+  const auto polls_before = session.proxy(1).stats().polls;
+
+  // a writes every file through the session: each is one invalidation b is
+  // owed.
+  for (int i = 0; i < kFiles; ++i) {
     auto fd = RunTask(bed_.sched(),
                       a.Open("/w" + std::to_string(i), OpenFlags{.read = true, .write = true}));
     ASSERT_TRUE(fd.has_value());
     (void)RunTask(bed_.sched(), a.Write(*fd, 0, Bytes(4, 1)));
     (void)RunTask(bed_.sched(), a.Close(*fd));
   }
+  ASSERT_EQ(session.proxy(1).stats().polls, polls_before);  // still one window
 
-  (void)RunTask(bed_.sched(), Advance(Seconds(15)));
-  // 20+ invalidations at batch size 8 => at least 3 GETINV calls in one
-  // polling round (poll-again chaining).
-  EXPECT_GE(session.proxy(1).stats().polls - polls_before, 3u);
-  EXPECT_GE(session.proxy(1).stats().invalidations_applied, 20u);
+  (void)RunTask(bed_.sched(), Advance(Seconds(600)));
+  // 600 invalidations at 512 per reply => one poll plus one poll-again in
+  // the same round.
+  EXPECT_EQ(session.proxy(1).stats().polls - polls_before, 2u);
+  EXPECT_EQ(session.proxy(1).stats().invalidations_applied,
+            static_cast<std::uint64_t>(kFiles));
 }
 
 TEST_F(PollingTest, BufferOverflowForcesFullInvalidation) {
@@ -285,6 +283,32 @@ TEST_F(PollingTest, RemoverDropsVictimAttrsOfLinkedFile) {
   EXPECT_EQ(after->nlink, 1u);
 }
 
+TEST_F(PollingTest, RemoverDropsVictimAttrsThroughAStaleLookup) {
+  // Another client's change to the directory makes the remover's lookup of
+  // the victim stale; the REMOVE must still drop the victim's attributes,
+  // or another link to it keeps showing the old link count.
+  auto& session = bed_.CreateSession(PollingConfig(), {0, 1});
+  auto& fs = bed_.fs();
+  auto f = fs.Create(fs.root(), "f", 0644);
+  ASSERT_TRUE(f.has_value());
+  ASSERT_TRUE(fs.Link(*f, fs.root(), "g").has_value());
+
+  auto before = RunTask(bed_.sched(), session.mount(0).Stat("/f"));
+  ASSERT_TRUE(before.has_value());
+  EXPECT_EQ(before->nlink, 2u);
+
+  auto fd = RunTask(bed_.sched(), session.mount(1).Open("/x", kCreateWrite));
+  ASSERT_TRUE(fd.has_value());
+  ASSERT_TRUE(RunTask(bed_.sched(), session.mount(1).Close(*fd)).has_value());
+  (void)RunTask(bed_.sched(), Advance(Seconds(120)));
+
+  ASSERT_TRUE(RunTask(bed_.sched(), session.mount(0).Unlink("/f")).has_value());
+  (void)RunTask(bed_.sched(), Advance(Seconds(120)));
+  auto after = RunTask(bed_.sched(), session.mount(0).Stat("/g"));
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->nlink, 1u);
+}
+
 TEST_F(PollingTest, ServerRestartForcesClientReset) {
   auto& session = bed_.CreateSession(PollingConfig(Seconds(20)), {0});
   ASSERT_TRUE(bed_.fs().Create(bed_.fs().root(), "f", 0644).has_value());
@@ -332,22 +356,6 @@ TEST_F(PollingTest, TwoSessionsIndependent) {
   (void)RunTask(bed_.sched(), Advance(Seconds(100)));
   EXPECT_GT(fast.proxy(0).stats().polls, 10u);
   EXPECT_LE(slow.proxy(0).stats().polls, 1u);
-}
-
-TEST_F(PollingTest, TtlModelBehavesLikeNativeCaching) {
-  SessionConfig config;
-  config.model = ConsistencyModel::kTtl;
-  config.attr_ttl = Seconds(30);
-  auto& session = bed_.CreateSession(config, {0});
-  ASSERT_TRUE(bed_.fs().Create(bed_.fs().root(), "f", 0644).has_value());
-
-  kclient::MountOptions noac;  // kernel caching on; proxy TTL governs
-  (void)RunTask(bed_.sched(), session.mount(0).Stat("/f"));
-  const auto wan = session.stats->Calls("GETATTR");
-  (void)RunTask(bed_.sched(), Advance(Seconds(31)));
-  // Kernel cache also expired; the proxy TTL expired too -> forwarded.
-  (void)RunTask(bed_.sched(), session.mount(0).Stat("/f"));
-  EXPECT_GT(session.stats->Calls("GETATTR"), wan);
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 //    for every polling period.
 //  - Delegation/callback: a remote change is visible immediately (no
 //    staleness window), for every delegation expiry setting.
-//  - GETINV batching: the number of polls in one round covers ceil(N/batch)
-//    for a range of batch sizes.
+//  - GETINV batching: the number of polls in one round is ceil(N/batch) for
+//    N invalidations around the batch size.
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -124,50 +124,50 @@ INSTANTIATE_TEST_SUITE_P(Expiries, DelegationNoStaleness,
 // GETINV batching arithmetic
 // ---------------------------------------------------------------------------
 
+/// The parameter is the file count in eighths of a GETINV batch (64 files),
+/// so the sweep runs from half a batch to eight batches.
 class GetInvBatching : public ::testing::TestWithParam<int> {};
 
 TEST_P(GetInvBatching, PollsCoverInvalidationsInBatches) {
-  const int batch = GetParam();
-  constexpr int kFiles = 40;
+  constexpr int kBatch = static_cast<int>(proxy::kGetInvBatch);
+  const int files = GetParam() * kBatch / 8;
 
   Testbed bed;
   bed.AddWanClient();
   bed.AddWanClient();
+  // One poll window outlasts the whole write phase, so every invalidation
+  // reaches the observer in a single round.
   SessionConfig config;
   config.model = ConsistencyModel::kInvalidationPolling;
-  config.poll_period = Seconds(10);
-  config.poll_max_period = Seconds(10);
-  config.getinv_batch = static_cast<std::uint32_t>(batch);
+  config.poll_period = Seconds(1000);
+  config.poll_max_period = Seconds(1000);
   auto& session = bed.CreateSession(config, {0, 1});
   auto& writer = session.mount(0);
-  auto& observer = session.mount(1);
 
-  // Observer caches all files; writer then dirties every one of them.
-  for (int i = 0; i < kFiles; ++i) {
+  for (int i = 0; i < files; ++i) {
     auto ino = bed.fs().Create(bed.fs().root(), "f" + std::to_string(i), 0644);
     ASSERT_TRUE(ino.has_value());
-    (void)RunTask(bed.sched(), observer.Stat("/f" + std::to_string(i)));
   }
-  (void)RunTask(bed.sched(), Advance(&bed.sched(), Seconds(12)));
+  // The observer bootstraps at start; its next poll is a window away.
+  (void)RunTask(bed.sched(), Advance(&bed.sched(), Seconds(1)));
   const auto polls_before = session.proxy(1).stats().polls;
   const auto inv_before = session.proxy(1).stats().invalidations_applied;
 
-  for (int i = 0; i < kFiles; ++i) {
+  for (int i = 0; i < files; ++i) {
     auto fd = RunTask(bed.sched(), writer.Open("/f" + std::to_string(i), kWrite));
     ASSERT_TRUE(fd.has_value());
     (void)RunTask(bed.sched(), writer.Write(*fd, 0, Bytes(4, 1)));
     (void)RunTask(bed.sched(), writer.Close(*fd));
   }
-  (void)RunTask(bed.sched(), Advance(&bed.sched(), Seconds(12)));
+  ASSERT_EQ(session.proxy(1).stats().polls, polls_before);
+  (void)RunTask(bed.sched(), Advance(&bed.sched(), Seconds(1000)));
 
-  // All invalidations delivered, in ceil(N/batch)-sized GETINV replies
-  // (poll-again chaining); N here is kFiles plus a handful of directory
-  // invalidations, so we check bounds rather than exact equality.
+  // Every invalidation delivered, in ceil(N/batch) GETINV replies
+  // (poll-again chaining).
   const auto polls = session.proxy(1).stats().polls - polls_before;
   const auto delivered = session.proxy(1).stats().invalidations_applied - inv_before;
-  EXPECT_GE(delivered, static_cast<std::uint64_t>(kFiles));
-  EXPECT_GE(polls, static_cast<std::uint64_t>((kFiles + batch - 1) / batch));
-  EXPECT_LE(polls, static_cast<std::uint64_t>((kFiles + 2) / batch + 3));
+  EXPECT_EQ(delivered, static_cast<std::uint64_t>(files));
+  EXPECT_EQ(polls, static_cast<std::uint64_t>((files + kBatch - 1) / kBatch));
 }
 
 INSTANTIATE_TEST_SUITE_P(Batches, GetInvBatching, ::testing::Values(4, 8, 16, 64));

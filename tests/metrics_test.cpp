@@ -293,9 +293,8 @@ TEST(StalenessProbe, BoundedByPollingPeriodPlusRoundTrips) {
   // A version born right after a poll is invalidated at most one period plus
   // one round trip later; the next read refreshes. Allow 2x RTT of slack for
   // the refresh itself (40 ms paper RTT).
-  const Duration rtt = 2 * TestbedConfig{}.wan.one_way_latency;
-  const auto bound_us =
-      static_cast<std::uint64_t>((kPollPeriod + 2 * rtt) / kMicrosecond);
+  const auto bound_us = static_cast<std::uint64_t>(
+      StalenessBound(TestbedConfig{}, kPollPeriod) / kMicrosecond);
   EXPECT_GT(hist.max(), 0u);  // the workload does observe staleness
   EXPECT_LE(hist.Percentile(99), bound_us);
 }

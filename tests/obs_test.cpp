@@ -121,10 +121,7 @@ TEST(Watchdog, InvOverflowFiresOnWrapAndOnRisingOccupancy) {
   registry.AddProbe("s0.inv_wraps", [&] { return wraps; });
   registry.AddProbe("s0.inv_buffer_entries", [&] { return entries; });
 
-  ObsConfig config;
-  config.occupancy_trend_windows = 3;
-  config.occupancy_floor = 1024.0;
-  Watchdog dog(sched, config);
+  Watchdog dog(sched);  // 3 rising windows at or above 1024 entries
   dog.WatchRegistry(&registry);
 
   // Steady state below the floor: nothing fires.
@@ -168,7 +165,7 @@ TEST(Watchdog, ShardImbalanceNeedsRatioAndAbsoluteLoad) {
                        "shard2.inv_buffer_entries", "shard3.inv_buffer_entries",
                        "shard4.inv_buffer_entries"});
 
-  // Ratio 5x but only 100 entries: below imbalance_min, stays quiet.
+  // Ratio 5x but only 100 entries: below kImbalanceMin, stays quiet.
   dog.ScanNow();
   EXPECT_TRUE(dog.anomalies().empty());
 
@@ -194,10 +191,7 @@ TEST(Watchdog, MigrationFlapCountsClientSideCompletions) {
   trace::TraceBuffer buffer(256);
   trace::Tracer tracer(&buffer, &clock);
 
-  ObsConfig config;
-  config.flap_threshold = 3;
-  config.flap_window = Seconds(30);
-  Watchdog dog(sched, config);
+  Watchdog dog(sched);  // 3 migrations within 30 s
   dog.WatchTrace(&buffer);
 
   // Two client-side migrations of file 5:77 plus a server-side record (which

@@ -176,93 +176,6 @@ TEST(TaskTest, ExceptionPropagatesToAwaiter) {
   EXPECT_TRUE(caught);
 }
 
-Task<void> WaitOneShot(OneShot<int>* slot, std::optional<int>* got) {
-  *got = co_await slot->Wait();
-}
-
-TEST(OneShotTest, SetBeforeWait) {
-  Scheduler sched;
-  OneShot<int> slot(sched);
-  slot.Set(42);
-  std::optional<int> got;
-  Spawn(WaitOneShot(&slot, &got));
-  sched.Run();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 42);
-}
-
-TEST(OneShotTest, SetAfterWait) {
-  Scheduler sched;
-  OneShot<int> slot(sched);
-  std::optional<int> got;
-  Spawn(WaitOneShot(&slot, &got));
-  sched.At(Seconds(2), [&] { slot.Set(7); });
-  sched.Run();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 7);
-}
-
-Task<void> WaitOneShotUntil(Scheduler* sched, OneShot<int>* slot, SimTime deadline,
-                            std::optional<int>* got, SimTime* when) {
-  *got = co_await slot->WaitUntil(deadline);
-  *when = sched->Now();
-}
-
-TEST(OneShotTest, TimeoutYieldsNullopt) {
-  Scheduler sched;
-  OneShot<int> slot(sched);
-  std::optional<int> got = 99;
-  SimTime when = -1;
-  Spawn(WaitOneShotUntil(&sched, &slot, Seconds(5), &got, &when));
-  sched.Run();
-  EXPECT_FALSE(got.has_value());
-  EXPECT_EQ(when, Seconds(5));
-}
-
-TEST(OneShotTest, ValueBeatsTimeout) {
-  Scheduler sched;
-  OneShot<int> slot(sched);
-  std::optional<int> got;
-  SimTime when = -1;
-  Spawn(WaitOneShotUntil(&sched, &slot, Seconds(5), &got, &when));
-  sched.At(Seconds(2), [&] { slot.Set(1); });
-  sched.Run();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 1);
-  EXPECT_EQ(when, Seconds(2));
-  // Set() cancels the pending timeout event: the queue drains at t=2 instead
-  // of idling forward to the dead t=5 wakeup.
-  EXPECT_EQ(sched.Now(), Seconds(2));
-}
-
-Task<void> ScopedOneShot(Scheduler* sched, std::optional<int>* got) {
-  OneShot<int> slot(*sched);
-  OneShot<int>* raw = &slot;
-  sched->At(Seconds(1), [raw] { raw->Set(3); });
-  *got = co_await slot.WaitUntil(Seconds(100));
-  // slot destroyed here; its timeout event at t=100 must not crash.
-}
-
-TEST(OneShotTest, StaleTimeoutAfterDestructionIsSafe) {
-  Scheduler sched;
-  std::optional<int> got;
-  Spawn(ScopedOneShot(&sched, &got));
-  sched.Run();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 3);
-}
-
-TEST(OneShotTest, FirstValueWins) {
-  Scheduler sched;
-  OneShot<int> slot(sched);
-  slot.Set(1);
-  slot.Set(2);
-  std::optional<int> got;
-  Spawn(WaitOneShot(&slot, &got));
-  sched.Run();
-  EXPECT_EQ(*got, 1);
-}
-
 Task<void> WaitCondition(Condition* cond, int* woke) {
   co_await cond->Wait();
   ++*woke;
