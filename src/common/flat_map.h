@@ -1,16 +1,25 @@
-// FlatMap: open-addressed hash map for integer-keyed hot-path lookups
-// (pending RPC calls by xid, network links by host pair, DRC entries).
+// FlatMap: open-addressed hash map for the lookups every packet or operation
+// makes (pending RPC calls by xid, network links by host pair, DRC entries,
+// the per-file-handle caches of kclient, the proxies and memfs).
 //
-// Replaces std::map on the per-packet paths: a lookup is one hash, one or two
-// probes in a contiguous array — no pointer chasing, no rebalancing, no
-// per-node allocation. Iteration order is insertion-history dependent, NOT
-// sorted, so this container is only for lookups whose order never escapes
-// into simulator output; anything that feeds a report or an exporter must
-// stay on ordered containers (see gvfs-lint's unordered-container rule —
-// this file is the sanctioned implementation, keyed by deterministic
-// simulation state only).
+// A lookup is one hash and one or two probes in a contiguous array: no
+// pointer chasing, no rebalancing, no per-node allocation. The contract:
+//  - Keys. Any copyable key with operator== and a hash functor works:
+//    FlatHash for integers, nfs3::FhHash for file handles, a struct's own
+//    functor (rpc::RpcNode::DrcKeyHash).
+//  - Pointers. A pointer or reference into the table is valid only until
+//    the next insert or erase on it. Growth moves every entry, and
+//    backward-shift deletion moves the neighbours of the erased one, so this
+//    holds even between two calls with no co_await in between: re-find
+//    after anything that may have touched the table.
+//  - Order. Iteration order depends on insertion history, not on the keys.
+//    A site whose order reaches simulator output (a report, a dump, a
+//    flush or eviction order) collects the keys and sorts them first. This
+//    file is the sanctioned hash table (gvfs-lint's unordered-container
+//    rule bans the std ones), keyed by deterministic simulation state only.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <utility>
@@ -35,7 +44,8 @@ struct FlatHash {
 };
 
 /// Open-addressed map with linear probing and backward-shift deletion.
-/// K must be an integer-like key; V needs move construction only.
+/// K needs copy and ==, Hash maps a key to 64 well-mixed bits; V needs
+/// default construction and move assignment.
 ///
 /// Deletion compacts the probe cluster in place instead of leaving a
 /// tombstone, so churn-heavy maps (the duplicate-request cache does one
@@ -51,7 +61,7 @@ class FlatMap {
   bool Empty() const { return size_ == 0; }
 
   /// Pointer to the mapped value, or nullptr.
-  V* Find(K key) {
+  V* Find(const K& key) {
     if (slots_.empty()) return nullptr;
     std::size_t i = Hash{}(key) & mask_;
     for (;;) {
@@ -62,10 +72,10 @@ class FlatMap {
     }
   }
 
-  const V* Find(K key) const { return const_cast<FlatMap*>(this)->Find(key); }
+  const V* Find(const K& key) const { return const_cast<FlatMap*>(this)->Find(key); }
 
   /// Inserts a default-constructed value if absent; returns the mapped value.
-  V& operator[](K key) {
+  V& operator[](const K& key) {
     MaybeGrow();
     std::size_t i = Hash{}(key) & mask_;
     for (;;) {
@@ -83,7 +93,7 @@ class FlatMap {
   }
 
   /// Removes the key if present. Returns true if something was erased.
-  bool Erase(K key) {
+  bool Erase(const K& key) {
     std::size_t i;
     if (!Locate(key, &i)) return false;
     ShiftErase(i);
@@ -92,7 +102,7 @@ class FlatMap {
 
   /// Removes the key, moving its value into *out first. One probe chain
   /// walk total, where Find-then-Erase would walk it twice.
-  bool Extract(K key, V* out) {
+  bool Extract(const K& key, V* out) {
     std::size_t i;
     if (!Locate(key, &i)) return false;
     *out = std::move(slots_[i].value);
@@ -111,7 +121,7 @@ class FlatMap {
   template <typename Fn>
   void ForEach(Fn&& fn) {
     for (Slot& s : slots_) {
-      if (s.full) fn(s.key, s.value);
+      if (s.full) fn(std::as_const(s.key), s.value);
     }
   }
 
@@ -122,15 +132,30 @@ class FlatMap {
     }
   }
 
+  /// Every key in ascending order: the iteration order for a site whose
+  /// order reaches simulator output.
+  std::vector<K> SortedKeys() const {
+    std::vector<K> keys;
+    keys.reserve(size_);
+    for (const Slot& s : slots_) {
+      if (s.full) keys.push_back(s.key);
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
  private:
+  // The flag sits between key and value so it fills the key's tail padding
+  // when the key is shorter than the value's alignment (a 12-byte DrcKey
+  // slot is 40 bytes, not 48; a u32-keyed pointer slot 16, not 24).
   struct Slot {
     K key{};
-    V value{};
     bool full = false;
+    V value{};
   };
 
   /// Probe for the key; on hit, stores its slot index. False on miss.
-  bool Locate(K key, std::size_t* out) {
+  bool Locate(const K& key, std::size_t* out) {
     if (slots_.empty()) return false;
     std::size_t i = Hash{}(key) & mask_;
     for (;;) {

@@ -5,15 +5,11 @@
 namespace gvfs::proxy {
 
 const DiskCache::AttrEntry* DiskCache::ValidAttr(const nfs3::Fh& fh) const {
-  auto it = attrs_.find(fh);
-  if (it == attrs_.end() || !it->second.valid) return nullptr;
-  return &it->second;
+  const AttrEntry* entry = attrs_.Find(fh);
+  return entry == nullptr || !entry->valid ? nullptr : entry;
 }
 
-DiskCache::AttrEntry* DiskCache::AnyAttr(const nfs3::Fh& fh) {
-  auto it = attrs_.find(fh);
-  return it == attrs_.end() ? nullptr : &it->second;
-}
+DiskCache::AttrEntry* DiskCache::AnyAttr(const nfs3::Fh& fh) { return attrs_.Find(fh); }
 
 void DiskCache::StoreAttr(const nfs3::Fh& fh, const nfs3::Fattr& attr, SimTime now) {
   auto& entry = attrs_[fh];
@@ -23,76 +19,69 @@ void DiskCache::StoreAttr(const nfs3::Fh& fh, const nfs3::Fattr& attr, SimTime n
 }
 
 void DiskCache::InvalidateAttr(const nfs3::Fh& fh) {
-  auto it = attrs_.find(fh);
-  if (it != attrs_.end()) it->second.valid = false;
+  if (AttrEntry* entry = attrs_.Find(fh)) entry->valid = false;
 }
 
 void DiskCache::InvalidateAllAttrs() {
-  for (auto& [fh, entry] : attrs_) entry.valid = false;
+  attrs_.ForEach([](const nfs3::Fh&, AttrEntry& entry) { entry.valid = false; });
 }
 
 void DiskCache::ObserveMtime(const nfs3::Fh& fh, SimTime mtime, std::uint64_t size,
                              bool own_write) {
-  auto it = files_.find(fh);
-  if (it == files_.end()) return;
-  if (!own_write && mtime != it->second.mtime_seen) {
-    DropCleanBlocks(it->second);
-    it->second.size_seen = size;
+  FileEntry* file = files_.Find(fh);
+  if (file == nullptr) return;
+  if (!own_write && mtime != file->mtime_seen) {
+    DropCleanBlocks(*file);
+    file->size_seen = size;
   }
-  it->second.mtime_seen = mtime;
-  if (own_write) it->second.size_seen = std::max(it->second.size_seen, size);
+  file->mtime_seen = mtime;
+  if (own_write) file->size_seen = std::max(file->size_seen, size);
 }
 
 const nfs3::Fh* DiskCache::RecordedLookup(const nfs3::Fh& dir,
                                           const std::string& name) const {
-  auto it = lookups_.find({dir, name});
-  return it == lookups_.end() ? nullptr : &it->second.child;
+  const NameList<LookupEntry>* names = lookups_.Find(dir);
+  const LookupEntry* entry = names == nullptr ? nullptr : names->Find(name);
+  return entry == nullptr ? nullptr : &entry->child;
 }
 
 const nfs3::Fh* DiskCache::ValidLookup(const nfs3::Fh& dir,
                                        const std::string& name) const {
   const AttrEntry* dir_attr = ValidAttr(dir);
   if (dir_attr == nullptr) return nullptr;  // dir state unknown
-  auto it = lookups_.find({dir, name});
-  if (it == lookups_.end()) return nullptr;
-  if (it->second.dir_mtime != dir_attr->attr.mtime) return nullptr;  // stale
-  return &it->second.child;
+  const NameList<LookupEntry>* names = lookups_.Find(dir);
+  const LookupEntry* entry = names == nullptr ? nullptr : names->Find(name);
+  if (entry == nullptr) return nullptr;
+  if (entry->dir_mtime != dir_attr->attr.mtime) return nullptr;  // stale
+  return &entry->child;
 }
 
 void DiskCache::StoreLookup(const nfs3::Fh& dir, const std::string& name,
                             const nfs3::Fh& child) {
-  auto attr = attrs_.find(dir);
-  if (attr == attrs_.end() || !attr->second.valid) return;  // unvalidatable
-  lookups_[{dir, name}] = LookupEntry{child, attr->second.attr.mtime};
+  const AttrEntry* attr = ValidAttr(dir);
+  if (attr == nullptr) return;  // unvalidatable
+  lookups_[dir].Put(name, LookupEntry{child, attr->attr.mtime});
 }
 
 void DiskCache::DropLookup(const nfs3::Fh& dir, const std::string& name) {
-  lookups_.erase({dir, name});
+  NameList<LookupEntry>* names = lookups_.Find(dir);
+  if (names != nullptr && names->Erase(name) && names->Empty()) lookups_.Erase(dir);
 }
 
 bool DiskCache::HasLookupEntries(const nfs3::Fh& dir) const {
-  auto it = lookups_.lower_bound({dir, ""});
-  return it != lookups_.end() && it->first.first == dir;
+  return lookups_.Find(dir) != nullptr;
 }
 
-void DiskCache::ClearLookups(const nfs3::Fh& dir) {
-  auto begin = lookups_.lower_bound({dir, ""});
-  auto end = begin;
-  while (end != lookups_.end() && end->first.first == dir) ++end;
-  lookups_.erase(begin, end);
-}
+void DiskCache::ClearLookups(const nfs3::Fh& dir) { lookups_.Erase(dir); }
 
-DiskCache::FileEntry* DiskCache::FindFile(const nfs3::Fh& fh) {
-  auto it = files_.find(fh);
-  return it == files_.end() ? nullptr : &it->second;
-}
+DiskCache::FileEntry* DiskCache::FindFile(const nfs3::Fh& fh) { return files_.Find(fh); }
 
 const DiskCache::Block* DiskCache::FindBlock(const nfs3::Fh& fh,
                                              std::uint64_t index) const {
-  auto it = files_.find(fh);
-  if (it == files_.end()) return nullptr;
-  auto b = it->second.blocks.find(index);
-  return b == it->second.blocks.end() ? nullptr : &b->second;
+  const FileEntry* file = files_.Find(fh);
+  if (file == nullptr) return nullptr;
+  auto b = file->blocks.find(index);
+  return b == file->blocks.end() ? nullptr : &b->second;
 }
 
 void DiskCache::StoreBlock(const nfs3::Fh& fh, std::uint64_t index, Buf data,
@@ -114,19 +103,18 @@ void DiskCache::WriteIntoBlock(const nfs3::Fh& fh, std::uint64_t index,
 }
 
 void DiskCache::DropFileData(const nfs3::Fh& fh) {
-  auto it = files_.find(fh);
-  if (it == files_.end()) return;
-  for (const auto& [index, block] : it->second.blocks) {
+  FileEntry file;
+  if (!files_.Extract(fh, &file)) return;
+  for (const auto& [index, block] : file.blocks) {
     cached_bytes_ -= block.data.size();
   }
-  files_.erase(it);
 }
 
 void DiskCache::DropCleanData(const nfs3::Fh& fh) {
-  auto it = files_.find(fh);
-  if (it == files_.end()) return;
-  DropCleanBlocks(it->second);
-  if (it->second.blocks.empty()) files_.erase(it);
+  FileEntry* file = files_.Find(fh);
+  if (file == nullptr) return;
+  DropCleanBlocks(*file);
+  if (file->blocks.empty()) files_.Erase(fh);
 }
 
 void DiskCache::DropCleanBlocks(FileEntry& file) {
@@ -141,10 +129,10 @@ void DiskCache::DropCleanBlocks(FileEntry& file) {
 }
 
 void DiskCache::MarkClean(const nfs3::Fh& fh, std::uint64_t index) {
-  auto it = files_.find(fh);
-  if (it == files_.end()) return;
-  auto b = it->second.blocks.find(index);
-  if (b != it->second.blocks.end()) b->second.dirty = false;
+  FileEntry* file = files_.Find(fh);
+  if (file == nullptr) return;
+  auto b = file->blocks.find(index);
+  if (b != file->blocks.end()) b->second.dirty = false;
 }
 
 bool DiskCache::NoteReadAccess(const nfs3::Fh& fh, std::uint64_t index) {
@@ -158,19 +146,19 @@ bool DiskCache::NoteReadAccess(const nfs3::Fh& fh, std::uint64_t index) {
 
 std::vector<std::uint64_t> DiskCache::DirtyOffsets(const nfs3::Fh& fh) const {
   std::vector<std::uint64_t> out;
-  auto it = files_.find(fh);
-  if (it == files_.end()) return out;
-  for (const auto& [index, block] : it->second.blocks) {
+  const FileEntry* file = files_.Find(fh);
+  if (file == nullptr) return out;
+  for (const auto& [index, block] : file->blocks) {
     if (block.dirty) out.push_back(index * memfs::kBlockSize);
   }
   return out;
 }
 
 std::size_t DiskCache::DirtyBlockCount(const nfs3::Fh& fh) const {
-  auto it = files_.find(fh);
-  if (it == files_.end()) return 0;
+  const FileEntry* file = files_.Find(fh);
+  if (file == nullptr) return 0;
   std::size_t count = 0;
-  for (const auto& [index, block] : it->second.blocks) {
+  for (const auto& [index, block] : file->blocks) {
     if (block.dirty) ++count;
   }
   return count;
@@ -178,31 +166,32 @@ std::size_t DiskCache::DirtyBlockCount(const nfs3::Fh& fh) const {
 
 std::size_t DiskCache::TotalDirtyBlocks() const {
   std::size_t count = 0;
-  for (const auto& [fh, file] : files_) {
+  files_.ForEach([&](const nfs3::Fh&, const FileEntry& file) {
     for (const auto& [index, block] : file.blocks) {
       if (block.dirty) ++count;
     }
-  }
+  });
   return count;
 }
 
 std::vector<nfs3::Fh> DiskCache::FilesWithDirtyData() const {
   std::vector<nfs3::Fh> out;
-  for (const auto& [fh, file] : files_) {
+  files_.ForEach([&](const nfs3::Fh& fh, const FileEntry& file) {
     for (const auto& [index, block] : file.blocks) {
       if (block.dirty) {
         out.push_back(fh);
         break;
       }
     }
-  }
+  });
+  std::sort(out.begin(), out.end());  // the table iterates in hash order
   return out;
 }
 
 void DiskCache::Crash() {
   // Disk contents (blocks, dirty flags) survive; in-memory validity does not.
-  for (auto& [fh, entry] : attrs_) entry.valid = false;
-  lookups_.clear();
+  InvalidateAllAttrs();
+  lookups_.Clear();
 }
 
 }  // namespace gvfs::proxy

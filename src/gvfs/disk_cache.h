@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "common/flat_map.h"
+#include "common/name_list.h"
 #include "common/types.h"
 #include "nfs3/proto.h"
 
@@ -37,12 +39,18 @@ class DiskCache {
   struct FileEntry {
     SimTime mtime_seen = 0;
     std::uint64_t size_seen = 0;
+    // gvfs-lint: allow(hot-path-type): dirty blocks are written back in offset order
     std::map<std::uint64_t, Block> blocks;  // block index -> block
     /// Last block index read through the proxy (read-ahead detection).
     std::uint64_t last_read_index = kNoReadYet;
   };
 
   static constexpr std::uint64_t kNoReadYet = ~std::uint64_t{0};
+
+  // Pointers and references the accessors below return follow FlatMap's
+  // rule: valid until the next insert or erase on the same table. A Block
+  // lives in its file's std::map node, so it survives the FileEntry moving;
+  // only erasing that block (a drop) ends it.
 
   // -- attributes --
 
@@ -102,7 +110,8 @@ class DiskCache {
   std::size_t DirtyBlockCount(const nfs3::Fh& fh) const;
   /// Dirty blocks across every cached file (write-back queue depth).
   std::size_t TotalDirtyBlocks() const;
-  /// All files that currently hold at least one dirty block.
+  /// All files that currently hold at least one dirty block, in handle
+  /// order: the flush order and the recovery order.
   std::vector<nfs3::Fh> FilesWithDirtyData() const;
 
   // -- lifecycle --
@@ -112,7 +121,7 @@ class DiskCache {
   /// (we keep them — the scan is what the paper describes).
   void Crash();
 
-  std::size_t AttrCount() const { return attrs_.size(); }
+  std::size_t AttrCount() const { return attrs_.Size(); }
   std::uint64_t CachedBytes() const { return cached_bytes_; }
 
  private:
@@ -123,9 +132,10 @@ class DiskCache {
     SimTime dir_mtime = 0;  // entry valid only while the dir mtime matches
   };
 
-  std::map<nfs3::Fh, AttrEntry> attrs_;
-  std::map<std::pair<nfs3::Fh, std::string>, LookupEntry> lookups_;
-  std::map<nfs3::Fh, FileEntry> files_;
+  FlatMap<nfs3::Fh, AttrEntry, nfs3::FhHash> attrs_;
+  /// Names per directory handle; a directory with no names has no entry.
+  FlatMap<nfs3::Fh, NameList<LookupEntry>, nfs3::FhHash> lookups_;
+  FlatMap<nfs3::Fh, FileEntry, nfs3::FhHash> files_;
   std::uint64_t cached_bytes_ = 0;
 };
 

@@ -132,6 +132,9 @@ class InvLog {
   // Logical clock. Starts at 1: timestamp 0 is reserved as the
   // null/bootstrap timestamp clients send when they have no state (§4.2.2).
   std::uint64_t clock_ = 1;
+  // These stay trees, unlike the per-handle caches: the log is walked in
+  // timestamp order, and InvLogDifferential pins this implementation reply
+  // for reply.
   Log log_;
   /// Each handle's stored entries, oldest first.
   std::map<nfs3::Fh, std::vector<Log::iterator>> by_handle_;

@@ -92,13 +92,13 @@ ProxyClient::ProxyClient(sim::Scheduler& sched, rpc::RpcNode& node,
 // ---------------------------------------------------------------------------
 
 bool ProxyClient::DelegationFresh(const Fh& fh, bool need_write) const {
-  auto it = delegations_.find(fh);
-  if (it == delegations_.end()) return false;
-  if (it->second.type == DelegationType::kNone) return false;
-  if (need_write && it->second.type != DelegationType::kWrite) return false;
+  const Delegation* deleg = delegations_.Find(fh);
+  if (deleg == nullptr) return false;
+  if (deleg->type == DelegationType::kNone) return false;
+  if (need_write && deleg->type != DelegationType::kWrite) return false;
   // Serve locally only while renewal is not due; past the renewal period a
   // request bypasses the cache to refresh the delegation (§4.3.1).
-  return sched_.Now() - it->second.refreshed_at < config_.deleg_renew;
+  return sched_.Now() - deleg->refreshed_at < config_.deleg_renew;
 }
 
 bool ProxyClient::AttrServable(const Fh& fh) const {
@@ -115,7 +115,7 @@ bool ProxyClient::AttrServable(const Fh& fh) const {
 
 void ProxyClient::StoreGrant(const Fh& fh, DelegationType type) {
   if (type == DelegationType::kNone) {
-    delegations_.erase(fh);
+    delegations_.Erase(fh);
     return;
   }
   auto& deleg = delegations_[fh];
@@ -131,7 +131,7 @@ void ProxyClient::StoreGrant(const Fh& fh, DelegationType type) {
   deleg.refreshed_at = sched_.Now();
 }
 
-void ProxyClient::DropDelegation(const Fh& fh) { delegations_.erase(fh); }
+void ProxyClient::DropDelegation(const Fh& fh) { delegations_.Erase(fh); }
 
 void ProxyClient::Absorb(const Fh& fh, const nfs3::PostOpAttr& attr, bool own_write) {
   if (!attr.has_value()) return;
@@ -198,7 +198,8 @@ JsonObject ProxyClient::SnapshotState() const {
   snap.Add("poll_targets", targets);
 
   std::vector<JsonObject> delegations;
-  for (const auto& [fh, d] : delegations_) {
+  for (const Fh& fh : delegations_.SortedKeys()) {
+    const Delegation& d = *delegations_.Find(fh);
     if (d.type == DelegationType::kNone) continue;
     JsonObject o;
     o.Add("fh", std::to_string(fh.fsid) + ":" + std::to_string(fh.ino));
@@ -433,8 +434,12 @@ sim::Task<Buf> ProxyClient::HandleRead(rpc::CallContext ctx, rpc::Body args) {
     if (block != nullptr) {
       // Keep the pipeline ahead of the reader: when a sequential scan is
       // being served from cache, start fetching the blocks past the window
-      // edge before the reader faults on them.
-      if (sequential) MaybeReadAhead(fh, index);
+      // edge before the reader faults on them. Re-find the block after: the
+      // read-ahead may touch the cache's tables.
+      if (sequential) {
+        MaybeReadAhead(fh, index);
+        block = cache_.FindBlock(fh, index);
+      }
       const std::uint64_t file_size = cache_.ValidAttr(fh)->attr.size;
       const std::uint64_t block_start = index * kBlockSize;
       const std::uint64_t in_block = parsed->offset - block_start;
@@ -519,7 +524,8 @@ sim::Task<void> ProxyClient::Prefetch(Fh fh, std::uint64_t index) {
       // attributes a concurrent invalidation just cleared — that would let
       // the next fault be served from a stale prefetched block. The block is
       // kept only if the file is still at the mtime this client last
-      // trusted, and never clobbers dirty data.
+      // trusted, and never clobbers dirty data. `entry` and `existing` are
+      // read before StoreBlock, which may move them.
       DiskCache::FileEntry* entry = cache_.FindFile(fh);
       const bool changed = entry == nullptr ||
                            (res->attr.has_value() && entry->mtime_seen != 0 &&
@@ -614,12 +620,14 @@ sim::Task<Buf> ProxyClient::HandleWrite(rpc::CallContext ctx, rpc::Body args) {
     DiskCache::AttrEntry* entry = cache_.AnyAttr(fh);
     entry->attr.size = std::max<std::uint64_t>(entry->attr.size, end);
     entry->attr.mtime = sched_.Now();
-    aw2.in_flight.Spawn(ForwardWriteAsync(fh, std::move(args), start, end));
-
+    // The reply copies the attributes before the spawn: the forwarded
+    // WRITE may absorb its reply into the cache, which can move `entry`.
     nfs3::WriteRes res;
     res.attr = entry->attr;
     res.count = static_cast<std::uint32_t>(parsed->data.size());
     res.committed = nfs3::StableHow::kUnstable;
+    aw2.in_flight.Spawn(ForwardWriteAsync(fh, std::move(args), start, end));
+
     co_await sim::Sleep(sched_, kDiskAccessTime);
     co_return Serialize(res);
   }
@@ -934,7 +942,7 @@ sim::Task<Buf> ProxyClient::HandleRecovery(rpc::CallContext ctx, rpc::Body) {
   // must be revalidated; write-delegation state is reported back so the
   // server can rebuild its table.
   cache_.InvalidateAllAttrs();
-  delegations_.clear();
+  delegations_.Clear();
   node_.tracer().Inv(trace::EventType::kInvForce, node_.address().host, 0, 0,
                      /*timestamp=*/0, /*count=*/0, ctx.caller.host);
   ++stats_.force_invalidations;
@@ -1259,7 +1267,7 @@ void ProxyClient::Crash() {
   running_ = false;
   ++epoch_;
   cache_.Crash();      // disk survives; validity metadata does not
-  delegations_.clear();
+  delegations_.Clear();
   // Poll timestamps are lost: the next GETINV per target bootstraps with a
   // null timestamp.
   for (auto& target : poll_targets_) target.timestamp = 0;

@@ -25,6 +25,7 @@
 #include <set>
 #include <utility>
 
+#include "common/flat_map.h"
 #include "common/json_writer.h"
 #include "gvfs/disk_cache.h"
 #include "gvfs/proto.h"
@@ -245,11 +246,14 @@ class ProxyClient {
   SessionConfig config_;
   DiskCache cache_;
 
-  std::map<nfs3::Fh, Delegation> delegations_;
+  FlatMap<nfs3::Fh, Delegation, nfs3::FhHash> delegations_;
   /// Per-file flush serialization (never erased: a crashed flush task may
   /// still hold a reference; the map is bounded by the file population).
+  /// Node-stable on purpose: a sim::Mutex cannot move and waiters hold it
+  /// across co_await.
   std::map<nfs3::Fh, sim::Mutex> flush_locks_;
   /// Pipelined write-through tracking (never erased, same reason as above).
+  /// Node-stable on purpose: iterators into it are held across co_await.
   std::map<nfs3::Fh, AsyncWrites> async_writes_;
   /// Window cap for async write-through forwarding, shared across files.
   sim::Semaphore wt_slots_{sched_,
@@ -257,6 +261,9 @@ class ProxyClient {
   /// Blocks with a prefetch READ in flight (suppresses duplicates); demand
   /// reads that miss on one of these join the prefetch via `prefetch_done_`
   /// instead of issuing their own upstream READ.
+  /// Stays a tree: it holds only the blocks of prefetch READs in flight
+  /// (none unless read-ahead is on), so a demand read's check is one or two
+  /// node visits.
   std::set<std::pair<nfs3::Fh, std::uint64_t>> prefetch_inflight_;
   sim::Condition prefetch_done_{sched_};
   /// GETINV poll targets with per-target logical timestamps: the session

@@ -223,11 +223,11 @@ sim::Task<Buf> ProxyServer::HandleNfs(std::uint32_t proc, rpc::CallContext ctx,
 
   // A successful WRITE from the write-back owner retires pending blocks.
   if (proc == nfs3::kWrite && info.offset.has_value() && !info.writes.empty()) {
-    auto it = files_.find(info.writes.front());
-    if (it != files_.end() && it->second.writeback_owner == ctx.caller) {
-      it->second.pending_writeback.erase(*info.offset);
-      if (it->second.pending_writeback.empty()) {
-        it->second.writeback_owner = net::Address{};
+    FileState* state = files_.Find(info.writes.front());
+    if (state != nullptr && state->writeback_owner == ctx.caller) {
+      state->pending_writeback.erase(*info.offset);
+      if (state->pending_writeback.empty()) {
+        state->writeback_owner = net::Address{};
       }
     }
   }
@@ -371,10 +371,9 @@ sim::Task<Buf> ProxyServer::HandleMigrate(rpc::CallContext ctx, rpc::Body args) 
 
   // The caller dropped its own delegation client-side before sending the
   // MIGRATE; retire the server-side record without a callback.
-  auto fit = files_.find(fh);
-  if (fit != files_.end()) {
-    auto sharer = fit->second.sharers.find(ctx.caller);
-    if (sharer != fit->second.sharers.end() &&
+  if (FileState* state = files_.Find(fh)) {
+    auto sharer = state->sharers.find(ctx.caller);
+    if (sharer != state->sharers.end() &&
         sharer->second.granted != DelegationType::kNone) {
       RecordHoldTime(sharer->second);
       TraceDeleg(trace::EventType::kDelegRelease, fh, sharer->second.granted,
@@ -474,14 +473,14 @@ sim::Task<void> ProxyServer::RecallConflicts(Fh fh, net::Address requester,
                                              bool write_op,
                                              std::optional<std::uint64_t> offset,
                                              trace::SpanRef parent) {
-  auto it = files_.find(fh);
-  if (it == files_.end()) co_return;
-  ExpireSharers(fh, it->second);
+  FileState* state = files_.Find(fh);
+  if (state == nullptr) co_return;
+  ExpireSharers(fh, *state);
 
   // Collect the conflicting holders first: the sharer map may be touched by
   // concurrent requests while we await callbacks.
   std::vector<std::pair<net::Address, DelegationType>> to_recall;
-  for (const auto& [addr, sharer] : it->second.sharers) {
+  for (const auto& [addr, sharer] : state->sharers) {
     if (addr == requester) continue;
     if (sharer.granted == DelegationType::kNone) continue;
     if (write_op || sharer.granted == DelegationType::kWrite) {
@@ -491,7 +490,7 @@ sim::Task<void> ProxyServer::RecallConflicts(Fh fh, net::Address requester,
 
   if (to_recall.empty()) co_return;
 
-  ++it->second.recalling;
+  ++state->recalling;
   if (to_recall.size() == 1) {
     co_await RecallOne(fh, to_recall.front().first, to_recall.front().second,
                        offset, parent);
@@ -505,8 +504,7 @@ sim::Task<void> ProxyServer::RecallConflicts(Fh fh, net::Address requester,
     }
     co_await in_flight.Wait();
   }
-  auto again = files_.find(fh);
-  if (again != files_.end()) --again->second.recalling;
+  if (FileState* again = files_.Find(fh)) --again->recalling;
 }
 
 sim::Task<void> ProxyServer::RecallOne(Fh fh, net::Address addr,
@@ -533,10 +531,10 @@ sim::Task<void> ProxyServer::RecallOne(Fh fh, net::Address addr,
         static_cast<std::uint64_t>(took > 0 ? took / kMicrosecond : 0));
   }
 
-  auto again = files_.find(fh);
-  if (again == files_.end()) co_return;
-  auto sharer = again->second.sharers.find(addr);
-  if (sharer != again->second.sharers.end()) {
+  FileState* again = files_.Find(fh);
+  if (again == nullptr) co_return;
+  auto sharer = again->sharers.find(addr);
+  if (sharer != again->sharers.end()) {
     RecordHoldTime(sharer->second);
     sharer->second.granted = DelegationType::kNone;
     sharer->second.granted_at = 0;
@@ -545,9 +543,9 @@ sim::Task<void> ProxyServer::RecallOne(Fh fh, net::Address addr,
   if (!res.pending_offsets.empty()) {
     // Block-list optimization: the write delegation is considered revoked
     // now; the server monitors the remaining write-back (§4.3.2).
-    again->second.pending_writeback.insert(res.pending_offsets.begin(),
-                                           res.pending_offsets.end());
-    again->second.writeback_owner = addr;
+    again->pending_writeback.insert(res.pending_offsets.begin(),
+                                    res.pending_offsets.end());
+    again->writeback_owner = addr;
     if (res.file_size > 0) {
       // Extend the upstream file to the holder's authoritative size so
       // other clients see correct attributes while blocks trickle in.
@@ -563,19 +561,20 @@ sim::Task<void> ProxyServer::RecallOne(Fh fh, net::Address addr,
 sim::Task<void> ProxyServer::EnsureBlockWrittenBack(Fh fh, net::Address requester,
                                                     std::uint64_t offset,
                                                     trace::SpanRef parent) {
-  auto it = files_.find(fh);
-  if (it == files_.end()) co_return;
+  const FileState* state = files_.Find(fh);
+  if (state == nullptr) co_return;
   const std::uint64_t block_offset = offset - offset % memfs::kBlockSize;
-  if (it->second.pending_writeback.count(block_offset) == 0) co_return;
-  if (it->second.writeback_owner == requester) co_return;
+  if (state->pending_writeback.count(block_offset) == 0) co_return;
+  if (state->writeback_owner == requester) co_return;
+  const net::Address owner = state->writeback_owner;
 
   // Requests to blocks not yet written back generate callbacks forcing the
   // owner to submit them promptly (§4.3.2).
   TraceDeleg(trace::EventType::kDelegRecall, fh, DelegationType::kWrite,
-             it->second.writeback_owner.host, block_offset);
+             owner.host, block_offset);
   ++recalls_in_flight_;
-  co_await SendCallback(it->second.writeback_owner, fh, CallbackType::kRecallWrite,
-                        block_offset, parent);
+  co_await SendCallback(owner, fh, CallbackType::kRecallWrite, block_offset,
+                        parent);
   --recalls_in_flight_;
   // The owner's WRITE (observed in HandleNfs) retires the pending offset.
 }
@@ -651,7 +650,7 @@ void ProxyServer::Crash() {
   node_.tracer().Node(trace::EventType::kNodeCrash, node_.address().host);
   node_.SetDown(true);
   inv_log_.Clear();
-  files_.clear();
+  files_.Clear();
   // persistent_clients_ survives: it is stored on disk.
 }
 
@@ -705,6 +704,9 @@ sim::Task<void> ProxyServer::RecoverClient(net::Address client) {
 }
 
 void ProxyServer::RegisterClient(net::Address client) {
+  bool& known = known_clients_[(std::uint64_t{client.host} << 32) | client.port];
+  if (known) return;
+  known = true;
   persistent_clients_.insert(client);
 }
 
@@ -761,7 +763,8 @@ JsonObject ProxyServer::SnapshotState() const {
   constexpr std::size_t kMaxFiles = 256;
   std::vector<JsonObject> files;
   std::size_t active = 0;
-  for (const auto& [fh, state] : files_) {
+  for (const Fh& fh : files_.SortedKeys()) {
+    const FileState& state = *files_.Find(fh);
     bool interesting = state.recalling != 0 ||
                        !state.pending_writeback.empty() ||
                        state.mode != policy::FileMode::kPolling;
@@ -790,7 +793,7 @@ JsonObject ProxyServer::SnapshotState() const {
     f.Add("grants", grants);
     files.push_back(f);
   }
-  snap.Add("files_tracked", static_cast<std::uint64_t>(files_.size()));
+  snap.Add("files_tracked", static_cast<std::uint64_t>(files_.Size()));
   snap.Add("files_active", static_cast<std::uint64_t>(active));
   snap.Add("files_omitted",
            static_cast<std::uint64_t>(active - files.size()));

@@ -25,6 +25,7 @@
 #include <set>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/json_writer.h"
 #include "gvfs/fault_hooks.h"
 #include "gvfs/inv_log.h"
@@ -218,10 +219,14 @@ class ProxyServer {
 
   // Soft state (lost on crash).
   InvLog inv_log_;
-  std::map<nfs3::Fh, FileState> files_;
+  FlatMap<nfs3::Fh, FileState, nfs3::FhHash> files_;
 
   // Persistent state ("on disk"): survives Crash().
+  /// Ordered: recovery callbacks go out in address order.
   std::set<net::Address> persistent_clients_;
+  /// Membership test RegisterClient makes on every request, keyed by
+  /// (host << 32) | port; only a new client touches the ordered set.
+  FlatMap<std::uint64_t, bool> known_clients_;
 
   bool in_grace_ = false;
   sim::Condition grace_over_;

@@ -27,14 +27,16 @@ const rpc::CallOptions kHardMount = [] {
 
 using memfs::kBlockSize;
 
-/// Upper-bound key for iterating all dnlc entries under one directory.
-Fh NextFh(const Fh& fh) { return Fh{fh.fsid, fh.ino + 1}; }
-
 }  // namespace
 
 KernelClient::KernelClient(sim::Scheduler& sched, rpc::RpcNode& node,
                            net::Address server, nfs3::Fh root, MountOptions options)
-    : sched_(sched), client_(node, server), root_(root), options_(std::move(options)) {}
+    : sched_(sched),
+      client_(node, server),
+      root_(root),
+      options_(std::move(options)),
+      attr_cache_(kMaxAttrEntries),
+      dnlc_(kMaxDnlcEntries) {}
 
 // ---------------------------------------------------------------------------
 // Attribute cache
@@ -42,45 +44,38 @@ KernelClient::KernelClient(sim::Scheduler& sched, rpc::RpcNode& node,
 
 bool KernelClient::AttrFresh(const Fh& fh) const {
   if (options_.noac) return false;
-  auto it = attr_cache_.find(fh);
-  if (it == attr_cache_.end()) return false;
-  return sched_.Now() - it->second.fetched_at <= options_.attr_timeout;
+  const AttrEntry* entry = attr_cache_.Find(fh);
+  if (entry == nullptr) return false;
+  return sched_.Now() - entry->fetched_at <= options_.attr_timeout;
 }
 
 const nfs3::Fattr* KernelClient::CachedAttr(const Fh& fh) const {
-  auto it = attr_cache_.find(fh);
-  return it == attr_cache_.end() ? nullptr : &it->second.attr;
+  const AttrEntry* entry = attr_cache_.Find(fh);
+  return entry == nullptr ? nullptr : &entry->attr;
 }
 
 void KernelClient::StoreAttr(const Fh& fh, const nfs3::Fattr& attr, bool own_write) {
-  auto fc = file_cache_.find(fh);
-  if (fc != file_cache_.end()) {
-    if (!own_write && attr.mtime != fc->second.mtime_seen) {
+  if (FileCache* fc = file_cache_.Find(fh)) {
+    if (!own_write && attr.mtime != fc->mtime_seen) {
       // Another client changed the file: cached data is stale. Clean blocks
       // are dropped; dirty blocks survive (the kernel client's usual weak
       // write-sharing semantics).
-      auto& blocks = fc->second.blocks;
+      auto& blocks = fc->blocks;
       for (auto it = blocks.begin(); it != blocks.end();) {
         if (!it->second.dirty) {
-          cached_bytes_ -= it->second.data.size();
+          ForgetBlock(it->second);
           it = blocks.erase(it);
         } else {
           ++it;
         }
       }
-      fc->second.size_seen = attr.size;
+      fc->size_seen = attr.size;
     }
-    fc->second.mtime_seen = attr.mtime;
-    if (own_write) {
-      fc->second.size_seen = std::max(fc->second.size_seen, attr.size);
-    }
+    fc->mtime_seen = attr.mtime;
+    if (own_write) fc->size_seen = std::max(fc->size_seen, attr.size);
   }
 
-  if (attr_cache_.size() >= kMaxAttrEntries &&
-      attr_cache_.find(fh) == attr_cache_.end()) {
-    attr_cache_.erase(attr_cache_.begin());
-  }
-  auto& entry = attr_cache_[fh];
+  AttrEntry& entry = attr_cache_.Store(fh);
   entry.attr = attr;
   entry.fetched_at = sched_.Now();
 }
@@ -90,7 +85,7 @@ void KernelClient::StoreAttr(const Fh& fh, const nfs3::PostOpAttr& attr,
   if (attr.has_value()) StoreAttr(fh, *attr, own_write);
 }
 
-void KernelClient::InvalidateAttr(const Fh& fh) { attr_cache_.erase(fh); }
+void KernelClient::InvalidateAttr(const Fh& fh) { attr_cache_.Erase(fh); }
 
 sim::Task<VfsResult<nfs3::Fattr>> KernelClient::GetAttr(Fh fh, bool force_fresh) {
   if (!force_fresh && AttrFresh(fh)) {
@@ -118,12 +113,11 @@ void KernelClient::StoreDnlc(const Fh& dir, const std::string& name,
                              const Fh& child) {
   const nfs3::Fattr* dir_attr = CachedAttr(dir);
   if (dir_attr == nullptr) return;  // cannot validate later; skip caching
-  if (dnlc_.size() >= kMaxDnlcEntries) dnlc_.erase(dnlc_.begin());
-  dnlc_[{dir, name}] = DnlcEntry{child, dir_attr->mtime};
+  dnlc_.Store(dir, name, DnlcEntry{child, dir_attr->mtime});
 }
 
 void KernelClient::DropDnlc(const Fh& dir, const std::string& name) {
-  dnlc_.erase({dir, name});
+  dnlc_.Erase(dir, name);
 }
 
 sim::Task<VfsResult<Fh>> KernelClient::LookupChild(Fh dir, std::string name) {
@@ -132,13 +126,12 @@ sim::Task<VfsResult<Fh>> KernelClient::LookupChild(Fh dir, std::string name) {
   auto dir_attr = co_await GetAttr(dir, /*force_fresh=*/false);
   if (!dir_attr) co_return Unexpected(dir_attr.error());
 
-  auto it = dnlc_.find({dir, name});
-  if (it != dnlc_.end()) {
-    if (it->second.dir_mtime_seen == dir_attr->mtime) {
+  if (const DnlcEntry* entry = dnlc_.Find(dir, name)) {
+    if (entry->dir_mtime_seen == dir_attr->mtime) {
       ++stats_.dnlc_hits;
-      co_return it->second.child;
+      co_return entry->child;
     }
-    dnlc_.erase(it);
+    dnlc_.Erase(dir, name);
   }
   ++stats_.dnlc_misses;
 
@@ -198,33 +191,44 @@ sim::Task<VfsResult<Fh>> KernelClient::ResolveParent(std::string path,
 // Page cache
 // ---------------------------------------------------------------------------
 
-void KernelClient::DropFileData(const Fh& fh) {
-  auto it = file_cache_.find(fh);
-  if (it == file_cache_.end()) return;
-  for (const auto& [index, block] : it->second.blocks) {
-    cached_bytes_ -= block.data.size();
+KernelClient::BlockMap::iterator KernelClient::AddBlock(FileCache& fc, const Fh& fh,
+                                                       std::uint64_t index, Buf data) {
+  auto [it, added] = fc.blocks.try_emplace(index);
+  if (added) {
+    it->second.data = std::move(data);
+    cached_bytes_ += it->second.data.size();
+    it->second.queued = evict_order_.insert(evict_order_.end(), {fh, index});
   }
-  file_cache_.erase(it);
+  return it;
+}
+
+void KernelClient::ForgetBlock(CachedBlock& block) {
+  cached_bytes_ -= block.data.size();
+  evict_order_.erase(block.queued);
+}
+
+void KernelClient::DropFileData(const Fh& fh) {
+  FileCache fc;
+  if (!file_cache_.Extract(fh, &fc)) return;
+  for (auto& [index, block] : fc.blocks) ForgetBlock(block);
 }
 
 void KernelClient::EvictIfNeeded() {
   std::size_t scanned = 0;
-  const std::size_t limit = lru_.size();
-  while (cached_bytes_ > options_.max_cached_bytes && scanned < limit &&
-         !lru_.empty()) {
+  const std::size_t limit = evict_order_.size();
+  while (cached_bytes_ > options_.max_cached_bytes && scanned < limit) {
     ++scanned;
-    auto [fh, index] = lru_.front();
-    lru_.pop_front();
-    auto fc = file_cache_.find(fh);
-    if (fc == file_cache_.end()) continue;
-    auto block = fc->second.blocks.find(index);
-    if (block == fc->second.blocks.end()) continue;
+    // Every entry names a cached block: each drop removes its own entry.
+    const auto [fh, index] = evict_order_.front();
+    auto& blocks = file_cache_.Find(fh)->blocks;
+    auto block = blocks.find(index);
     if (block->second.dirty) {
-      lru_.push_back({fh, index});  // cannot evict dirty data
+      // Cannot evict dirty data: requeue it at the back.
+      evict_order_.splice(evict_order_.end(), evict_order_, evict_order_.begin());
       continue;
     }
-    cached_bytes_ -= block->second.data.size();
-    fc->second.blocks.erase(block);
+    ForgetBlock(block->second);
+    blocks.erase(block);
   }
 }
 
@@ -233,24 +237,24 @@ void KernelClient::EvictIfNeeded() {
 // ---------------------------------------------------------------------------
 
 sim::Task<VfsResult<void>> KernelClient::FlushFile(Fh fh) {
-  auto fc = file_cache_.find(fh);
-  if (fc == file_cache_.end()) co_return Ok{};
+  const FileCache* fc = file_cache_.Find(fh);
+  if (fc == nullptr) co_return Ok{};
 
   // Snapshot the dirty block indices: the WRITE awaits below park this
   // frame, and a concurrent Remove/truncate can DropFileData(fh) meanwhile,
   // erasing the entry (and every block) a live range-for iterator would
   // still point into.
   std::vector<std::uint64_t> dirty;
-  for (const auto& [index, block] : fc->second.blocks) {
+  for (const auto& [index, block] : fc->blocks) {
     if (block.dirty) dirty.push_back(index);
   }
 
   bool wrote = false;
   for (const std::uint64_t index : dirty) {
-    fc = file_cache_.find(fh);
-    if (fc == file_cache_.end()) co_return Ok{};  // dropped mid-flush
-    auto blk = fc->second.blocks.find(index);
-    if (blk == fc->second.blocks.end() || !blk->second.dirty) continue;
+    const FileCache* file = file_cache_.Find(fh);
+    if (file == nullptr) co_return Ok{};  // dropped mid-flush
+    auto blk = file->blocks.find(index);
+    if (blk == file->blocks.end() || !blk->second.dirty) continue;
     nfs3::WriteArgs args;
     args.file = fh;
     args.offset = index * kBlockSize;
@@ -260,10 +264,9 @@ sim::Task<VfsResult<void>> KernelClient::FlushFile(Fh fh) {
     if (!res) co_return Unexpected(Status::kIo);
     if (res->status != Status::kOk) co_return Unexpected(res->status);
     StoreAttr(fh, res->attr, /*own_write=*/true);
-    fc = file_cache_.find(fh);
-    if (fc != file_cache_.end()) {
-      blk = fc->second.blocks.find(index);
-      if (blk != fc->second.blocks.end()) blk->second.dirty = false;
+    if (FileCache* after = file_cache_.Find(fh)) {
+      auto written = after->blocks.find(index);
+      if (written != after->blocks.end()) written->second.dirty = false;
     }
     wrote = true;
   }
@@ -299,11 +302,7 @@ sim::Task<VfsResult<Fd>> KernelClient::Open(std::string path, OpenFlags flags) {
     StoreAttr(*dir, res->dir_attr, /*own_write=*/true);
     if (res->dir_attr.has_value()) {
       // Our own mutation: existing dnlc entries under this dir stay valid.
-      auto begin = dnlc_.lower_bound({*dir, ""});
-      auto end = dnlc_.lower_bound({NextFh(*dir), ""});
-      for (auto it = begin; it != end; ++it) {
-        it->second.dir_mtime_seen = res->dir_attr->mtime;
-      }
+      dnlc_.RefreshDir(*dir, res->dir_attr->mtime);
     }
     if (res->status != Status::kOk) co_return Unexpected(res->status);
     fh = res->object;
@@ -368,9 +367,11 @@ sim::Task<VfsResult<Bytes>> KernelClient::Read(Fd fd, std::uint64_t offset,
   if (!attr) co_return Unexpected(attr.error());
 
   // Held as a pointer so it can be re-acquired after each await: a
-  // concurrent Remove/truncate can DropFileData(fh) while this frame is
-  // parked on a READ, erasing the map node the reference would alias.
-  auto* fc = &file_cache_[fh];
+  // concurrent frame can insert or erase a file_cache_ entry (a Read of
+  // another file, a Remove/truncate of this one) while this frame is parked
+  // on a READ, which moves or ends the entry. No insert or erase happens
+  // between the awaits.
+  FileCache* fc = &file_cache_[fh];
   if (fc->blocks.empty() && fc->mtime_seen == 0) {
     fc->mtime_seen = attr->mtime;
     fc->size_seen = attr->size;
@@ -394,11 +395,7 @@ sim::Task<VfsResult<Bytes>> KernelClient::Read(Fd fd, std::uint64_t offset,
       if (res->status != Status::kOk) co_return Unexpected(res->status);
       StoreAttr(fh, res->attr, /*own_write=*/false);
       fc = &file_cache_[fh];
-      CachedBlock block;
-      block.data = std::move(res->data);
-      cached_bytes_ += block.data.size();
-      lru_.push_back({fh, index});
-      cached = fc->blocks.emplace(index, std::move(block)).first;
+      cached = AddBlock(*fc, fh, index, std::move(res->data));
     } else {
       ++stats_.page_hits;
     }
@@ -429,9 +426,9 @@ sim::Task<VfsResult<std::uint32_t>> KernelClient::Write(Fd fd, std::uint64_t off
   if (!attr) co_return Unexpected(attr.error());
 
   // Pointer, not reference, so the read-modify-write await below can
-  // re-acquire it: a concurrent Remove/truncate can DropFileData(fh) while
-  // this frame is parked, erasing the map node the reference would alias.
-  auto* fc = &file_cache_[fh];
+  // re-acquire it: a concurrent frame can insert or erase a file_cache_
+  // entry while this frame is parked, which moves or ends the entry.
+  FileCache* fc = &file_cache_[fh];
   if (fc->blocks.empty() && fc->mtime_seen == 0) {
     fc->mtime_seen = attr->mtime;
     fc->size_seen = attr->size;
@@ -452,19 +449,17 @@ sim::Task<VfsResult<std::uint32_t>> KernelClient::Write(Fd fd, std::uint64_t off
       const bool needs_fetch =
           block_start < fc->size_seen && (in_block != 0 || take < kBlockSize) &&
           !(block_start + in_block >= fc->size_seen);
-      CachedBlock block;
+      Buf fetched;
       if (needs_fetch) {
         ++stats_.page_misses;
         auto res = co_await client_.Call<nfs3::ReadRes>(
             nfs3::kRead, nfs3::ReadArgs{fh, block_start, kBlockSize}, kHardMount);
         if (!res) co_return Unexpected(Status::kIo);
         if (res->status != Status::kOk) co_return Unexpected(res->status);
-        block.data = std::move(res->data);
+        fetched = std::move(res->data);
         fc = &file_cache_[fh];
       }
-      cached_bytes_ += block.data.size();
-      lru_.push_back({fh, index});
-      cached = fc->blocks.emplace(index, std::move(block)).first;
+      cached = AddBlock(*fc, fh, index, std::move(fetched));
     }
 
     // The first of a written block's two copies (the WRITE's encode is the
@@ -481,10 +476,9 @@ sim::Task<VfsResult<std::uint32_t>> KernelClient::Write(Fd fd, std::uint64_t off
 
   fc->size_seen = std::max(fc->size_seen, offset + data.size());
   // Keep the locally visible size in sync so Stat reflects our own writes.
-  auto cached_attr = attr_cache_.find(fh);
-  if (cached_attr != attr_cache_.end()) {
-    cached_attr->second.attr.size =
-        std::max<std::uint64_t>(cached_attr->second.attr.size, fc->size_seen);
+  if (AttrEntry* cached_attr = attr_cache_.Find(fh)) {
+    cached_attr->attr.size =
+        std::max<std::uint64_t>(cached_attr->attr.size, fc->size_seen);
   }
   EvictIfNeeded();
   co_return static_cast<std::uint32_t>(data.size());
@@ -515,10 +509,10 @@ sim::Task<VfsResult<void>> KernelClient::Unlink(std::string path) {
   if (!dir) co_return Unexpected(dir.error());
 
   // If we know the victim's handle, invalidate its caches.
-  auto known = dnlc_.find({*dir, leaf});
-  if (known != dnlc_.end()) {
-    InvalidateAttr(known->second.child);
-    DropFileData(known->second.child);
+  if (const DnlcEntry* known = dnlc_.Find(*dir, leaf)) {
+    const Fh victim = known->child;
+    InvalidateAttr(victim);
+    DropFileData(victim);
   }
 
   nfs3::RemoveArgs args;
@@ -528,13 +522,7 @@ sim::Task<VfsResult<void>> KernelClient::Unlink(std::string path) {
   if (!res) co_return Unexpected(Status::kIo);
   StoreAttr(*dir, res->dir_attr, /*own_write=*/true);
   DropDnlc(*dir, leaf);
-  if (res->dir_attr.has_value()) {
-    auto begin = dnlc_.lower_bound({*dir, ""});
-    auto end = dnlc_.lower_bound({NextFh(*dir), ""});
-    for (auto e = begin; e != end; ++e) {
-      e->second.dir_mtime_seen = res->dir_attr->mtime;
-    }
-  }
+  if (res->dir_attr.has_value()) dnlc_.RefreshDir(*dir, res->dir_attr->mtime);
   if (res->status != Status::kOk) co_return Unexpected(res->status);
   co_return Ok{};
 }
@@ -609,11 +597,10 @@ sim::Task<VfsResult<void>> KernelClient::Rename(std::string from,
   if (!res) co_return Unexpected(Status::kIo);
   StoreAttr(*from_dir, res->from_dir_attr, /*own_write=*/true);
   StoreAttr(*to_dir, res->to_dir_attr, /*own_write=*/true);
-  auto moved = dnlc_.find({*from_dir, from_leaf});
   nfs3::Fh moved_fh;
-  if (moved != dnlc_.end()) {
-    moved_fh = moved->second.child;
-    dnlc_.erase(moved);
+  if (const DnlcEntry* moved = dnlc_.Find(*from_dir, from_leaf)) {
+    moved_fh = moved->child;
+    dnlc_.Erase(*from_dir, from_leaf);
   }
   DropDnlc(*to_dir, to_leaf);
   if (res->status != Status::kOk) co_return Unexpected(res->status);
@@ -648,10 +635,10 @@ sim::Task<VfsResult<std::vector<std::string>>> KernelClient::ReadDir(
 }
 
 void KernelClient::DropCaches() {
-  attr_cache_.clear();
-  dnlc_.clear();
-  file_cache_.clear();
-  lru_.clear();
+  attr_cache_.Clear();
+  dnlc_.Clear();
+  file_cache_.Clear();
+  evict_order_.clear();
   cached_bytes_ = 0;
 }
 

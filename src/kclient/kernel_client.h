@@ -21,7 +21,9 @@
 #include <vector>
 
 #include "common/expected.h"
+#include "common/flat_map.h"
 #include "common/types.h"
+#include "kclient/caches.h"
 #include "kclient/vfs.h"
 #include "nfs3/client.h"
 #include "nfs3/proto.h"
@@ -93,33 +95,29 @@ class KernelClient : public Vfs {
   std::size_t OpenFileCount() const { return open_files_.size(); }
 
  private:
-  struct AttrEntry {
-    nfs3::Fattr attr;
-    SimTime fetched_at = 0;
-  };
-
-  struct DnlcEntry {
-    nfs3::Fh child;
-    SimTime dir_mtime_seen = 0;
-  };
+  /// Eviction order of cached blocks: insertion order (a hit does not move
+  /// a block), one entry per cached block.
+  using EvictionList = std::list<std::pair<nfs3::Fh, std::uint64_t>>;
 
   struct CachedBlock {
     Buf data;
     bool dirty = false;
+    EvictionList::iterator queued;  // this block's entry in evict_order_
   };
+
+  // gvfs-lint: allow(hot-path-type): dirty blocks are written back in offset order
+  using BlockMap = std::map<std::uint64_t, CachedBlock>;  // block index -> block
 
   struct FileCache {
     SimTime mtime_seen = 0;
     std::uint64_t size_seen = 0;
-    std::map<std::uint64_t, CachedBlock> blocks;  // block index -> block
+    BlockMap blocks;
   };
 
   struct OpenFile {
     nfs3::Fh fh;
     OpenFlags flags;
   };
-
-  using DnlcKey = std::pair<nfs3::Fh, std::string>;
 
   // -- attribute cache --
   bool AttrFresh(const nfs3::Fh& fh) const;
@@ -141,6 +139,12 @@ class KernelClient : public Vfs {
   void DropDnlc(const nfs3::Fh& dir, const std::string& name);
 
   // -- page cache --
+  /// Adds a block fetched or first written at `index`; an existing block
+  /// (one a concurrent frame added during this frame's await) wins.
+  BlockMap::iterator AddBlock(FileCache& fc, const nfs3::Fh& fh,
+                              std::uint64_t index, Buf data);
+  /// Drops one cached block; the caller erases it from its file's map.
+  void ForgetBlock(CachedBlock& block);
   void DropFileData(const nfs3::Fh& fh);
   void EvictIfNeeded();
 
@@ -154,13 +158,15 @@ class KernelClient : public Vfs {
   nfs3::Fh root_;
   MountOptions options_;
 
-  std::map<nfs3::Fh, AttrEntry> attr_cache_;
-  std::map<DnlcKey, DnlcEntry> dnlc_;
-  std::map<nfs3::Fh, FileCache> file_cache_;
+  // Pointers into these tables follow FlatMap's rule (common/flat_map.h):
+  // valid until the next insert or erase on the same table.
+  AttrCache attr_cache_;
+  NameCache dnlc_;
+  FlatMap<nfs3::Fh, FileCache, nfs3::FhHash> file_cache_;
   std::size_t cached_bytes_ = 0;
-  // LRU order of (fh, block) for eviction of clean blocks.
-  std::list<std::pair<nfs3::Fh, std::uint64_t>> lru_;
+  EvictionList evict_order_;  // clean blocks are evicted front first
 
+  // gvfs-lint: allow(hot-path-type): a mount holds a few descriptors at a time; an empty tree costs nothing, where a FlatMap would keep 16 slots per mount
   std::map<Fd, OpenFile> open_files_;
   Fd next_fd_ = 3;
 

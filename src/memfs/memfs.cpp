@@ -32,13 +32,13 @@ MemFs::MemFs(const SimTime* clock) : clock_(clock) {
 }
 
 MemFs::Inode* MemFs::Find(InodeId id) {
-  auto it = inodes_.find(id);
-  return it == inodes_.end() ? nullptr : it->second.get();
+  std::unique_ptr<Inode>* slot = inodes_.Find(id);
+  return slot == nullptr ? nullptr : slot->get();
 }
 
 const MemFs::Inode* MemFs::Find(InodeId id) const {
-  auto it = inodes_.find(id);
-  return it == inodes_.end() ? nullptr : it->second.get();
+  const std::unique_ptr<Inode>* slot = inodes_.Find(id);
+  return slot == nullptr ? nullptr : slot->get();
 }
 
 FsResult<MemFs::Inode*> MemFs::FindDir(InodeId id) {
@@ -78,7 +78,7 @@ void MemFs::Unref(InodeId id) {
   node->attr.ctime = Now();
   if (node->attr.nlink == 0) {
     total_bytes_ -= node->attr.size;
-    inodes_.erase(id);
+    inodes_.Erase(id);
   }
 }
 
@@ -165,7 +165,7 @@ FsResult<void> MemFs::Rmdir(InodeId dir, const std::string& name) {
   TouchDir(**d);
   // Directories hold nlink 2 (self + "."); drop both references.
   target->attr.nlink = 0;
-  inodes_.erase(id);
+  inodes_.Erase(id);
   return Ok{};
 }
 
@@ -186,7 +186,7 @@ FsResult<void> MemFs::Rename(InodeId from_dir, const std::string& from_name,
     if (target->attr.type == FileType::kDirectory) {
       if (!target->entries.empty()) return Unexpected(FsError::kNotEmpty);
       --(*to)->attr.nlink;
-      inodes_.erase(existing->second);
+      inodes_.Erase(existing->second);
     } else {
       const InodeId replaced = existing->second;
       (*to)->entries.erase(existing);

@@ -16,6 +16,7 @@
 
 #include "common/buf.h"
 #include "common/expected.h"
+#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace gvfs::memfs {
@@ -131,7 +132,7 @@ class MemFs {
   /// Total bytes of file content, holes included (for FSSTAT).
   std::uint64_t TotalBytes() const { return total_bytes_; }
 
-  std::uint64_t InodeCount() const { return inodes_.size(); }
+  std::uint64_t InodeCount() const { return inodes_.Size(); }
 
  private:
   struct Inode {
@@ -139,6 +140,7 @@ class MemFs {
     /// Regular files: block i holds bytes [i, i + 1) * kBlockSize. A block
     /// shorter than that, or missing, reads as zeros up to the file size.
     std::vector<Buf> blocks;
+    // gvfs-lint: allow(hot-path-type): READDIR hands out cookies in name order and resumes from them
     std::map<std::string, InodeId> entries;  // directories
   };
 
@@ -161,7 +163,9 @@ class MemFs {
   void Unref(InodeId id);
 
   const SimTime* clock_;
-  std::map<InodeId, std::unique_ptr<Inode>> inodes_;
+  /// Never iterated. Values are heap nodes, so an Inode* survives the
+  /// table's growth and erases.
+  FlatMap<InodeId, std::unique_ptr<Inode>> inodes_;
   InodeId next_id_ = 1;
   InodeId root_ = 0;
   std::uint64_t total_bytes_ = 0;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/expected.h"
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "memfs/memfs.h"
 #include "xdr/xdr.h"
@@ -80,6 +81,16 @@ struct Fh {
 
   friend bool operator==(const Fh&, const Fh&) = default;
   friend auto operator<=>(const Fh&, const Fh&) = default;
+};
+
+/// Hash for FlatMap tables keyed by file handle. Deliberately not the
+/// shard hash (proxy::ShardOf): a shard's table holds only the handles whose
+/// shard hash agrees modulo the shard count, and reusing it would leave
+/// those low bits constant in the table index.
+struct FhHash {
+  std::uint64_t operator()(const Fh& fh) const {
+    return MixHash64(fh.ino + fh.fsid * 0x9e3779b97f4a7c15ULL);
+  }
 };
 
 enum class FType : std::uint32_t { kReg = 1, kDir = 2 };

@@ -7,11 +7,14 @@
 #include "common/rng.h"
 #include "common/types.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <unordered_map>
 
 #include "common/flat_map.h"
+#include "nfs3/proto.h"
 
 namespace gvfs {
 namespace {
@@ -211,6 +214,65 @@ TEST(FlatMapTest, ChurnMatchesReferenceMap) {
     EXPECT_EQ(v, it->second);
   });
   EXPECT_EQ(visited, ref.size());
+}
+
+TEST(FlatMapTest, FileHandleKeys) {
+  // Handles that share an inode number on different filesystems, and
+  // neighbouring inode numbers, are distinct keys.
+  FlatMap<nfs3::Fh, int, nfs3::FhHash> m;
+  for (std::uint64_t fsid = 1; fsid <= 3; ++fsid) {
+    for (std::uint64_t ino = 1; ino <= 100; ++ino) {
+      m[nfs3::Fh{fsid, ino}] = static_cast<int>(fsid * 1000 + ino);
+    }
+  }
+  EXPECT_EQ(m.Size(), 300u);
+  EXPECT_EQ(m.Find(nfs3::Fh{4, 1}), nullptr);
+  EXPECT_EQ(m.Find(nfs3::Fh{1, 101}), nullptr);
+  ASSERT_NE(m.Find(nfs3::Fh{2, 7}), nullptr);
+  EXPECT_EQ(*m.Find(nfs3::Fh{2, 7}), 2007);
+  EXPECT_TRUE(m.Erase(nfs3::Fh{2, 7}));
+  EXPECT_EQ(m.Find(nfs3::Fh{2, 7}), nullptr);
+  ASSERT_NE(m.Find(nfs3::Fh{1, 7}), nullptr);
+  EXPECT_EQ(*m.Find(nfs3::Fh{3, 7}), 3007);
+
+  // SortedKeys orders by (fsid, ino), whatever the slot order.
+  const std::vector<nfs3::Fh> keys = m.SortedKeys();
+  ASSERT_EQ(keys.size(), 299u);
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  EXPECT_EQ(keys.front(), (nfs3::Fh{1, 1}));
+  EXPECT_EQ(keys.back(), (nfs3::Fh{3, 100}));
+}
+
+// Three home slots for every key: the whole table is a few long clusters,
+// so nearly every erase lands inside one and shifts its tail back.
+struct CollidingFhHash {
+  std::uint64_t operator()(const nfs3::Fh& fh) const { return fh.ino % 3; }
+};
+
+TEST(FlatMapTest, CollidingHashKeepsEveryKeyFindableAcrossErases) {
+  FlatMap<nfs3::Fh, std::uint64_t, CollidingFhHash> m;
+  std::map<nfs3::Fh, std::uint64_t> ref;
+  Rng rng(0xc011);
+  for (int step = 0; step < 6000; ++step) {
+    const nfs3::Fh key{1 + rng.Below(2), 1 + rng.Below(48)};
+    if (rng.Below(5) < 3) {
+      m[key] = static_cast<std::uint64_t>(step);
+      ref[key] = static_cast<std::uint64_t>(step);
+    } else {
+      ASSERT_EQ(m.Erase(key), ref.erase(key) > 0) << "step " << step;
+      // After an erase inside a cluster, every survivor is still reachable.
+      for (const auto& [k, v] : ref) {
+        const std::uint64_t* found = m.Find(k);
+        ASSERT_NE(found, nullptr)
+            << "step " << step << ": lost " << k.fsid << ":" << k.ino;
+        ASSERT_EQ(*found, v);
+      }
+    }
+    ASSERT_EQ(m.Size(), ref.size()) << "step " << step;
+  }
+  std::vector<nfs3::Fh> want;
+  for (const auto& [k, v] : ref) want.push_back(k);
+  EXPECT_EQ(m.SortedKeys(), want);
 }
 
 // ---------------------------------------------------------------------------

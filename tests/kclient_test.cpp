@@ -332,6 +332,55 @@ TEST_F(KclientTest, EvictionRereadsAfterPressure) {
   EXPECT_LE(client.CachedBytes(), 96 * 1024u);
 }
 
+// The eviction list holds one entry per cached block. A block dropped as
+// stale used to leave its entry behind, and that entry later evicted the
+// re-fetched block at the dropped block's place in the queue, ahead of
+// blocks cached after it.
+TEST_F(KclientTest, RefetchedBlockKeepsItsOwnEvictionPlace) {
+  MountOptions opts;
+  opts.max_cached_bytes = 2 * memfs::kBlockSize;
+  auto client = MakeClient(0, opts);
+  auto other = MakeClient(1);
+  for (const char* name : {"a", "b", "c"}) {
+    auto ino = fs_.Create(fs_.root(), name, 0644);
+    ASSERT_TRUE(fs_.Write(*ino, 0, Bytes(memfs::kBlockSize, 1)).has_value());
+  }
+  auto read_block = [&](Fd fd) {
+    auto data = RunTask(sched_, client.Read(fd, 0, memfs::kBlockSize));
+    ASSERT_TRUE(data.has_value());
+    ASSERT_EQ(data->size(), memfs::kBlockSize);
+  };
+
+  auto fd_a = RunTask(sched_, client.Open("/a", kRead));
+  auto fd_b = RunTask(sched_, client.Open("/b", kRead));
+  ASSERT_TRUE(fd_a.has_value() && fd_b.has_value());
+  read_block(*fd_a);
+  read_block(*fd_b);
+
+  // Another client rewrites a; reopening a revalidates and drops its block.
+  auto wfd = RunTask(sched_, other.Open("/a", kWrite));
+  ASSERT_TRUE(wfd.has_value());
+  ASSERT_TRUE(
+      RunTask(sched_, other.Write(*wfd, 0, Bytes(memfs::kBlockSize, 2))).has_value());
+  ASSERT_TRUE(RunTask(sched_, other.Close(*wfd)).has_value());
+  auto fd_a2 = RunTask(sched_, client.Open("/a", kRead));
+  ASSERT_TRUE(fd_a2.has_value());
+  EXPECT_EQ(client.CachedBytes(), memfs::kBlockSize);  // only b's block left
+
+  // Re-fetch a, then read c: three blocks for two, so the oldest, b's, goes.
+  read_block(*fd_a2);
+  auto fd_c = RunTask(sched_, client.Open("/c", kRead));
+  ASSERT_TRUE(fd_c.has_value());
+  read_block(*fd_c);
+  EXPECT_EQ(client.CachedBytes(), 2 * memfs::kBlockSize);
+
+  const std::uint64_t misses = client.stats().page_misses;
+  read_block(*fd_a2);
+  EXPECT_EQ(client.stats().page_misses, misses) << "a's re-fetched block was evicted";
+  read_block(*fd_b);
+  EXPECT_EQ(client.stats().page_misses, misses + 1) << "b's block should have gone";
+}
+
 // Regression: with a zero-byte page cache every fetched block is immediately
 // evictable, and eviction used to run before the block's bytes were copied
 // into the result — returning freed memory instead of file data.

@@ -195,9 +195,10 @@ TEST(RuleFixtures, FirePassSuppressed) {
   }
 }
 
-// hot-path-type scopes to src/sim + src/rpc, narrower than the shared
+// hot-path-type scopes to src/sim, src/rpc and the per-operation caches
+// (src/kclient, src/memfs, src/gvfs/disk_cache.*), narrower than the shared
 // fixture harness's src/gvfs/ path, so it gets its own fire/pass/suppressed
-// pass at an in-scope path plus an out-of-scope check.
+// pass at in-scope paths plus an out-of-scope check.
 TEST(RuleFixtures, HotPathTypeFirePassSuppressedScoped) {
   const fs::path dir = kTestdata / "rules" / "hot-path-type";
   auto lint_at = [&](const char* rel_path, const fs::path& file) {
@@ -212,6 +213,13 @@ TEST(RuleFixtures, HotPathTypeFirePassSuppressedScoped) {
       << "expected one std::function and one std::map finding";
   const auto fire_rpc = lint_at("src/rpc/fixture.cpp", dir / "fire.cpp");
   EXPECT_EQ(CountRule(fire_rpc, "hot-path-type"), 2);
+  for (const char* cache_path :
+       {"src/kclient/fixture.cpp", "src/memfs/fixture.h",
+        "src/gvfs/disk_cache.h", "src/gvfs/disk_cache.cpp"}) {
+    EXPECT_EQ(CountRule(lint_at(cache_path, dir / "fire.cpp"), "hot-path-type"), 2)
+        << cache_path;
+    EXPECT_EQ(lint_at(cache_path, dir / "suppressed.cpp").size(), 0u) << cache_path;
+  }
 
   const auto pass = lint_at("src/sim/fixture.cpp", dir / "pass.cpp");
   EXPECT_EQ(pass.size(), 0u) << "pass.cpp is not clean: " << FormatText(pass);

@@ -202,17 +202,18 @@ void CheckDiscardedExpected(const FileUnit& unit, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Hot-path discipline (src/sim and src/rpc only)
+// Hot-path discipline (src/sim, src/rpc and the per-operation caches)
 // ---------------------------------------------------------------------------
 
 /// hot-path-type: src/sim runs an event and src/rpc a packet millions of
-/// times per benchmark, and both were rebuilt around allocation-free
-/// structures (sim::EventFn's inline storage, gvfs::FlatMap, the per-host
-/// dispatch vector). A std::function posted per event re-introduces a heap
-/// allocation + indirect call per occurrence; a std::map consulted per call
-/// re-introduces a pointer chase per packet. Both are banned in these two
-/// directories; registration-time or report-ordering uses stay allowed via
-/// a reasoned suppression.
+/// times per benchmark, and the kernel client, memfs and the proxy disk cache
+/// consult their per-handle tables on every file operation. All were rebuilt
+/// around allocation-free or hashed structures (sim::EventFn's inline
+/// storage, gvfs::FlatMap, the per-host dispatch vector). A std::function
+/// posted per event re-introduces a heap allocation + indirect call per
+/// occurrence; a std::map consulted per call re-introduces a pointer chase
+/// per packet or operation. Both are banned in these places; registration-
+/// time or order-bearing uses stay allowed via a reasoned suppression.
 void CheckHotPathType(const FileUnit& unit, std::vector<Finding>& out) {
   const auto& toks = unit.lex.tokens;
   for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
@@ -275,7 +276,10 @@ bool InSrcOrBench(const std::string& rel_path) {
 }
 
 bool InHotPathDirs(const std::string& rel_path) {
-  return StartsWith(rel_path, "src/sim/") || StartsWith(rel_path, "src/rpc/");
+  return StartsWith(rel_path, "src/sim/") || StartsWith(rel_path, "src/rpc/") ||
+         StartsWith(rel_path, "src/kclient/") ||
+         StartsWith(rel_path, "src/memfs/") ||
+         StartsWith(rel_path, "src/gvfs/disk_cache.");
 }
 
 namespace {
@@ -332,7 +336,8 @@ const std::vector<RuleInfo>& AllRules() {
        "(void)-discarding a call result swallows protocol errors",
        CheckDiscardedExpected, nullptr, InProtocolDirs},
       {"hot-path-type",
-       "std::function/std::map in sim/rpc hot paths; use EventFn/FlatMap",
+       "std::function/std::map in sim/rpc hot paths and per-op caches; use "
+       "EventFn/FlatMap",
        CheckHotPathType, nullptr, InHotPathDirs},
       {"bad-suppression",
        "Suppressions must name real rules and give a reason",
